@@ -2,10 +2,17 @@
 
 The graph on positions 1..n has an edge wherever a later position holds a
 smaller value, so independent sets coincide with feasible index sets.
-When this graph is bipartite every pile has at most two entries, and a
-swap sequence of the smallest possible length |I \\ J| exists whenever any
-sequence exists; the only obstruction is a "forbidden pair" of mixed
-piles whose four elements close a 4-cycle.
+Permutation graphs are perfect, so this graph is bipartite exactly when it
+has no triangle, that is when the sequence has no decreasing triple (a 321
+pattern); `decreasing_triple` tests this in O(n).  When the graph is
+bipartite every pile has at most two entries, and a swap sequence of the
+smallest possible length |I \\ J| exists whenever any sequence exists; the
+only obstruction is a "forbidden pair" of mixed piles whose four elements
+close a 4-cycle, and the first such pair always sits on adjacent piles.
+`shortest_sequence` costs O(n log n), all of it in pile dealing.
+
+`build_graph` and `two_coloring` materialize the graph explicitly; they
+are quadratic and serve `lisrc graph` and the tests, not `shortest`.
 """
 from __future__ import annotations
 
@@ -16,8 +23,12 @@ from typing import Iterable
 
 from .errors import IndexOutOfRange, NotMaximum, SizeMismatch
 from .piles import PileSystem, build_piles
-from .reconfig import ReconfSequence, SwapStep, _require_maximum
-from .seqcore import FeasibleSet, Sequence, _canonical, is_feasible
+from .reconfig import ReconfSequence, SwapStep, _per_pile, _require_maximum
+from .seqcore import FeasibleSet, Sequence, _canonical, precedes
+
+# bench/spans.py wraps `is_feasible` in this namespace, so it stays
+# importable from here although nothing in this module calls it.
+from .seqcore import is_feasible  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -170,10 +181,11 @@ def mixed_piles(
         pile = ps.piles[t]
         if len(pile) != 2:
             continue
-        i_elem = next((x for x in pile if x in only_i), None)
-        j_elem = next((x for x in pile if x in only_j), None)
-        if i_elem is not None and j_elem is not None:
-            result.append(MixedPile(pile=t, i_elem=i_elem, j_elem=j_elem))
+        low, high = pile
+        if low in only_i and high in only_j:
+            result.append(MixedPile(pile=t, i_elem=low, j_elem=high))
+        elif high in only_i and low in only_j:
+            result.append(MixedPile(pile=t, i_elem=high, j_elem=low))
     return result
 
 
@@ -187,32 +199,69 @@ def _require_pile_cover(ps: PileSystem, members: FeasibleSet) -> None:
 
 
 def find_forbidden_pair(
-    g: PermutationGraph, mixed: list[MixedPile]
+    seq: Sequence, mixed: list[MixedPile]
 ) -> tuple[MixedPile, MixedPile] | None:
     """First pair of mixed piles whose four elements induce a 4-cycle.
 
-    Pairs are scanned in ascending pile-id order.  Both within-pile pairs
-    are always edges and same-set pairs never are, so the induced graph
-    is a 4-cycle exactly when every vertex has degree 2 in it.
+    Both within-pile pairs are always edges and same-set pairs never are,
+    so piles p < q form a 4-cycle exactly when i_p, j_q and j_p, i_q are
+    both inversions.  Only mixed piles on consecutive pile ids are tested,
+    yet the result is the lexicographically first pair (ascending pile id)
+    of the all-pairs scan.  Requires a bipartite graph, so that no pile
+    holds more than two entries.  Proof sketch, with x < y meaning
+    "earlier position and smaller value", I and J maximum feasible sets,
+    and i_t, j_t their elements on pile t:
+
+    * A set with one element per pile is a chain ordered by pile id.  If
+      some pile r, p < r < q, were not mixed, I and J would share its
+      element x (it holds at most two entries), and i_p < x < j_q would
+      make i_p, j_q no inversion.  So pile p + 1 is mixed whenever p < q
+      is forbidden.
+    * Two distinct elements are comparable under < or an inversion.
+      j_{p+1} < i_p would put i_p on a pile after p + 1, and i_p < j_{p+1}
+      would give i_p < j_{p+1} <= j_q.  So i_p, j_{p+1} is an inversion,
+      likewise j_p, i_{p+1}, and (p, p + 1) is forbidden as well: the
+      first pair of the all-pairs scan is always an adjacent one.
+
+    O(len(mixed)).
     """
-    for a in range(len(mixed)):
-        for b in range(a + 1, len(mixed)):
-            if _induces_four_cycle(g, mixed[a], mixed[b]):
-                return mixed[a], mixed[b]
+    for p, q in zip(mixed, mixed[1:]):
+        if (
+            q.pile == p.pile + 1
+            and _inverted(seq, p.i_elem, q.j_elem)
+            and _inverted(seq, p.j_elem, q.i_elem)
+        ):
+            return p, q
     return None
 
 
-def _induces_four_cycle(g: PermutationGraph, p: MixedPile, q: MixedPile) -> bool:
-    vertices = (p.i_elem, p.j_elem, q.i_elem, q.j_elem)
-    degree = [0, 0, 0, 0]
-    count = 0
-    for x in range(4):
-        for y in range(x + 1, 4):
-            if g.has_edge(vertices[x], vertices[y]):
-                degree[x] += 1
-                degree[y] += 1
-                count += 1
-    return count == 4 and all(d == 2 for d in degree)
+def _inverted(seq: Sequence, x: int, y: int) -> bool:
+    """True iff positions x and y are an edge: index and value orders differ."""
+    return (x < y) != (seq.value(x) < seq.value(y))
+
+
+def decreasing_triple(seq: Sequence) -> tuple[int, int, int] | None:
+    """Positions a < j < c with decreasing values, or None: O(n).
+
+    Such a triple is a triangle of the permutation graph, and a permutation
+    graph is bipartite exactly when it has none.  The choice is fixed: the
+    leftmost middle position j, then the leftmost larger value before it,
+    then the leftmost smaller value after it.
+    """
+    perm = seq.perm
+    n = len(perm)
+    # min_after[j] is the smallest value right of 0-based position j.
+    min_after = [n + 1] * n
+    for j in range(n - 2, -1, -1):
+        min_after[j] = min(min_after[j + 1], perm[j + 1])
+    max_before = 0
+    for j, v in enumerate(perm):
+        if max_before > v > min_after[j]:
+            a = next(i for i in range(j) if perm[i] > v)
+            c = next(i for i in range(j + 1, n) if perm[i] < v)
+            return a + 1, j + 1, c + 1
+        max_before = max(max_before, v)
+    return None
 
 
 def shortest_sequence(
@@ -220,11 +269,15 @@ def shortest_sequence(
 ) -> ReconfSequence | NoSequence | NotBipartite:
     """Shortest swap sequence between maximum feasible sets, length |I \\ J|.
 
-    Requires a bipartite permutation graph (NotBipartite otherwise).  A
-    forbidden pair proves no sequence exists (NoSequence).  Otherwise the
-    leftmost mixed pile always admits a swap on at least one side; the
-    I-side swap is preferred when both apply, and J-side swaps are
-    replayed inverted at the tail.
+    Requires a bipartite permutation graph (NotBipartite, carrying a
+    decreasing triple, otherwise).  A forbidden pair proves no sequence
+    exists (NoSequence).  Otherwise the leftmost mixed pile always admits
+    a swap on at least one side; the I-side swap is preferred when both
+    apply, and J-side swaps are replayed inverted at the tail.
+
+    A set with one element per pile is feasible exactly when neighbouring
+    piles are ordered, so each swap is checked in O(1) against the chosen
+    elements of piles t - 1 and t + 1.  O(n log n) overall.
     """
     members_i = _canonical(i_set)
     members_j = _canonical(j_set)
@@ -233,35 +286,34 @@ def shortest_sequence(
     ps = build_piles(seq)
     _require_maximum(seq, ps, members_i)
     _require_maximum(seq, ps, members_j)
-    g = build_graph(seq)
-    coloring = two_coloring(g)
-    if isinstance(coloring, OddCycle):
-        return NotBipartite(odd_cycle=coloring.vertices)
+    triple = decreasing_triple(seq)
+    if triple is not None:
+        return NotBipartite(odd_cycle=triple)
     mixed = mixed_piles(ps, members_i, members_j)
-    pair = find_forbidden_pair(g, mixed)
+    pair = find_forbidden_pair(seq, mixed)
     if pair is not None:
         return NoSequence(forbidden=pair)
-    cur_i, cur_j = members_i, members_j
+    chosen_i = _per_pile(ps, members_i)
+    chosen_j = _per_pile(ps, members_j)
     forward: list[SwapStep] = []
     backward: list[SwapStep] = []
-    while mixed:
-        mp = mixed.pop(0)
-        i_side = _swap(cur_i, mp.i_elem, mp.j_elem)
-        if is_feasible(seq, i_side):
-            cur_i = i_side
+    for mp in mixed:
+        if _fits(seq, chosen_i, mp.pile, mp.j_elem):
+            chosen_i[mp.pile] = mp.j_elem
             forward.append(SwapStep(remove=mp.i_elem, add=mp.j_elem))
         else:
-            j_side = _swap(cur_j, mp.j_elem, mp.i_elem)
-            assert is_feasible(seq, j_side), "leftmost mixed pile must be swappable"
-            cur_j = j_side
+            assert _fits(seq, chosen_j, mp.pile, mp.i_elem), (
+                "leftmost mixed pile must be swappable"
+            )
+            chosen_j[mp.pile] = mp.i_elem
             backward.append(SwapStep(remove=mp.j_elem, add=mp.i_elem))
-        # The handled pile stops being mixed; no other pile is touched.
-        assert mixed == mixed_piles(ps, cur_i, cur_j)
-        assert find_forbidden_pair(g, mixed) is None
-    assert cur_i == cur_j
+    assert chosen_i == chosen_j
     steps = tuple(forward) + tuple(step.inverted() for step in reversed(backward))
     return ReconfSequence(start=members_i, steps=steps)
 
 
-def _swap(s: FeasibleSet, out: int, into: int) -> FeasibleSet:
-    return tuple(sorted(set(s) - {out} | {into}))
+def _fits(seq: Sequence, chosen: list[int], t: int, x: int) -> bool:
+    """Can x replace chosen[t] and keep the one-per-pile set a chain?"""
+    return precedes(seq, chosen[t - 1], x) and (
+        t + 1 == len(chosen) or precedes(seq, x, chosen[t + 1])
+    )

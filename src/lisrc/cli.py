@@ -152,14 +152,15 @@ def generate(
     I is the canonical blocker chain; J is drawn uniformly from all
     maximum feasible sets when n is within the exhaustive bound, else by
     a random backward chain.  With bipartite=True, permutations are
-    redrawn until the inversion graph admits a two-coloring.
+    redrawn until the inversion graph admits a two-coloring, that is
+    until they have no decreasing triple.
     """
     rng = random.Random(seed)
     values = list(range(1, n + 1))
     for _ in range(GEN_MAX_ATTEMPTS):
         rng.shuffle(values)
         seq = normalize(values)
-        if bipartite and isinstance(bp.two_coloring(bp.build_graph(seq)), bp.OddCycle):
+        if bipartite and bp.decreasing_triple(seq) is not None:
             continue
         ps = build_piles(seq)
         i_set = extract_canonical_max(ps)
@@ -406,14 +407,17 @@ def _oracle_bound(args) -> int:
     if args.max_oracle_n is not None:
         return args.max_oracle_n
     env = os.environ.get(ORACLE_BOUND_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise LisrcError(
-                f"{ORACLE_BOUND_ENV} must be an integer, got {env!r}"
-            ) from None
-    return orc.DEFAULT_BOUND
+    if env is None:
+        return orc.DEFAULT_BOUND
+    try:
+        bound = int(env)
+    except ValueError:
+        raise LisrcError(
+            f"{ORACLE_BOUND_ENV} must be an integer, got {env!r}"
+        ) from None
+    if bound < 0:
+        raise LisrcError(f"{ORACLE_BOUND_ENV} must be >= 0, got {bound}")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +431,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
@@ -437,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-oracle-n",
-        type=int,
+        type=_nonnegative_int,
         metavar="N",
         help=f"exhaustive-search size bound (default {orc.DEFAULT_BOUND}; "
         f"env {ORACLE_BOUND_ENV})",

@@ -4,7 +4,7 @@ Everything here works straight off the raw value list with itertools, so
 it shares no code path with the package.  Exponential; keep n small.
 """
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 
 def increasing(raw, indices):
@@ -93,6 +93,59 @@ def inversion_edges(raw):
         for j in range(i + 1, n + 1)
         if raw[i - 1] > raw[j - 1]
     }
+
+
+def decreasing_triples(raw):
+    """Lazily, all position triples a < b < c whose values decrease."""
+    return (
+        (a, b, c)
+        for a, b, c in itertools.combinations(range(1, len(raw) + 1), 3)
+        if raw[a - 1] > raw[b - 1] > raw[c - 1]
+    )
+
+
+def chain_levels(raw):
+    """level[i]: length of the longest increasing run of positions ending at i.
+
+    Equals the patience pile of position i; slot 0 is unused.
+    """
+    level = [0] * (len(raw) + 1)
+    for j in range(1, len(raw) + 1):
+        level[j] = 1 + max(
+            (level[i] for i in range(1, j) if raw[i - 1] < raw[j - 1]), default=0
+        )
+    return level
+
+
+def forbidden_pair_scan(raw):
+    """All-pairs reference for the first forbidden pair of mixed piles.
+
+    Returns a function of (i_set, j_set).  A mixed pile is a level holding
+    one element private to each set; it is reported as (level, i_elem,
+    j_elem).  Pairs are scanned in ascending level order; the first whose
+    four elements induce a 4-cycle of the inversion graph is returned, or
+    None.
+    """
+    edges = inversion_edges(raw)
+    level = chain_levels(raw)
+
+    def first(i_set, j_set):
+        only_i = set(i_set) - set(j_set)
+        only_j = set(j_set) - set(i_set)
+        mixed = sorted(
+            (level[x], x, y) for x in only_i for y in only_j if level[x] == level[y]
+        )
+        for p, q in itertools.combinations(mixed, 2):
+            four = (p[1], p[2], q[1], q[2])
+            induced = [
+                e for e in itertools.combinations(sorted(four), 2) if e in edges
+            ]
+            degree = Counter(v for e in induced for v in e)
+            if len(induced) == 4 and all(degree[v] == 2 for v in four):
+                return p, q
+        return None
+
+    return first
 
 
 def random_perm(rng, n):

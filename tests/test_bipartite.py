@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from lisrc import (
     NotBipartite,
     NotMaximum,
     OddCycle,
+    ReconfSequence,
     SizeMismatch,
     build_graph,
     build_piles,
@@ -21,6 +23,7 @@ from lisrc import (
     shortest_sequence,
     two_coloring,
 )
+from lisrc.bipartite import decreasing_triple
 
 import bruteforce as bf
 from conftest import BIP, K22_NO, DETOUR
@@ -111,6 +114,31 @@ class TestTwoColoring:
         assert seen_odd > 0
 
 
+class TestDecreasingTriple:
+    def test_detour_triangle(self):
+        assert decreasing_triple(normalize(DETOUR[0])) == (1, 4, 6)
+
+    def test_triangle_where_coloring_finds_a_longer_cycle(self):
+        seq = normalize((3, 5, 1, 4, 2))
+        assert two_coloring(build_graph(seq)) == OddCycle(vertices=(1, 3, 2, 4, 5))
+        assert decreasing_triple(seq) == (2, 4, 5)
+
+    def test_matches_brute_force(self):
+        # Every permutation of n <= 7: None exactly when no decreasing
+        # triple exists; otherwise a triangle, namely the triple with the
+        # leftmost middle, then leftmost first, then leftmost last position.
+        for n in range(8):
+            for raw in itertools.permutations(range(1, n + 1)):
+                got = decreasing_triple(normalize(raw))
+                triples = list(bf.decreasing_triples(raw))
+                if not triples:
+                    assert got is None
+                    continue
+                a, b, c = got
+                assert {(a, b), (a, c), (b, c)} <= bf.inversion_edges(raw)
+                assert (b, a, c) == min((y, x, z) for x, y, z in triples)
+
+
 class TestMixedPiles:
     def test_both_piles_mixed(self):
         raw, i_set, j_set = K22_NO
@@ -158,25 +186,22 @@ class TestFindForbiddenPair:
     def test_four_cycle_found(self):
         raw, i_set, j_set = K22_NO
         seq = normalize(raw)
-        g = build_graph(seq)
         mixed = mixed_piles(build_piles(seq), i_set, j_set)
-        pair = find_forbidden_pair(g, mixed)
+        pair = find_forbidden_pair(seq, mixed)
         assert pair is not None
         assert (pair[0].pile, pair[1].pile) == (1, 2)
 
     def test_disjoint_edges_absent(self):
         raw, i_set, j_set = BIP
         seq = normalize(raw)
-        g = build_graph(seq)
         mixed = mixed_piles(build_piles(seq), i_set, j_set)
-        assert find_forbidden_pair(g, mixed) is None
+        assert find_forbidden_pair(seq, mixed) is None
 
     def test_fewer_than_two_mixed_piles(self):
         seq = normalize(K22_NO[0])
-        g = build_graph(seq)
-        assert find_forbidden_pair(g, []) is None
+        assert find_forbidden_pair(seq, []) is None
         mixed = mixed_piles(build_piles(seq), (1, 2), (1, 2))
-        assert find_forbidden_pair(g, mixed) is None
+        assert find_forbidden_pair(seq, mixed) is None
 
 
 class TestShortestSequence:
@@ -224,6 +249,35 @@ class TestShortestSequence:
                             assert len(result) == private == dist
                             assert result.end() == j_set
 
+    def test_adjacent_scan_matches_all_pairs_reference(self):
+        # Every 321-avoiding permutation of n <= 8 and every pair of
+        # maximum feasible sets: the forbidden pair is the all-pairs
+        # reference's first one, a sequence comes back exactly when there
+        # is none, and every step of it resolves one mixed pile.
+        checked = 0
+        for n in range(1, 9):
+            for raw in itertools.permutations(range(1, n + 1)):
+                if next(bf.decreasing_triples(raw), None):
+                    continue
+                seq = normalize(raw)
+                ps = build_piles(seq)
+                first_pair = bf.forbidden_pair_scan(raw)
+                maxima = bf.max_feasible_sets(raw)
+                for i_set in maxima:
+                    for j_set in maxima:
+                        expected = first_pair(i_set, j_set)
+                        result = shortest_sequence(seq, i_set, j_set)
+                        checked += 1
+                        if expected is not None:
+                            assert isinstance(result, NoSequence)
+                            assert expected == tuple(
+                                (m.pile, m.i_elem, m.j_elem) for m in result.forbidden
+                            )
+                            continue
+                        assert isinstance(result, ReconfSequence)
+                        _check_replay(seq, ps, first_pair, result, i_set, j_set)
+        assert checked == 15_656
+
     def test_length_and_validity_on_random_instances(self):
         for raw, i_set, j_set in random_bipartite_instances(seed=33, wanted=120):
             seq = normalize(raw)
@@ -243,3 +297,82 @@ class TestShortestSequence:
             assert sets[0] == i_set and sets[-1] == j_set
             for s in sets:
                 assert is_maximum_feasible(seq, s)
+
+
+def _check_replay(seq, ps, first_pair, result, i_set, j_set):
+    """Each step swaps inside one mixed pile of (current set, J), resolves
+    that pile only, keeps the set maximum feasible and leaves no forbidden
+    pair behind."""
+    sets = list(result.sets())
+    assert sets[0] == i_set and sets[-1] == j_set
+    mixed = mixed_piles(ps, i_set, j_set)
+    for step, after in zip(result.steps, sets[1:]):
+        pile = ps.pile_of[step.remove]
+        assert [(m.i_elem, m.j_elem) for m in mixed if m.pile == pile] == [
+            (step.remove, step.add)
+        ]
+        resolved = [m for m in mixed if m.pile != pile]
+        mixed = mixed_piles(ps, after, j_set)
+        assert mixed == resolved
+        assert is_maximum_feasible(seq, after)
+        assert first_pair(after, j_set) is None
+
+
+def two_one_blocks(n):
+    """2 1 4 3 ... of even length n: pile t holds positions 2t - 1 and 2t.
+
+    Returns the values, I = the odd positions and J = the even ones.
+    """
+    raw = tuple(v for t in range(1, n // 2 + 1) for v in (2 * t, 2 * t - 1))
+    return raw, tuple(range(1, n + 1, 2)), tuple(range(2, n + 1, 2))
+
+
+class TestShortestAtScale:
+    N = 100_000
+
+    def test_yes_instance(self):
+        raw, i_set, j_set = two_one_blocks(self.N)
+        seq = normalize(raw)
+        start = time.perf_counter()
+        result = shortest_sequence(seq, i_set, j_set)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"shortest_sequence at n={self.N} took {elapsed:.2f}s"
+        assert isinstance(result, ReconfSequence)
+        assert len(result) == self.N // 2
+
+        # Replay in O(L): chosen[t] is the set's element on pile t, and a
+        # one-per-pile set stays increasing when neighbouring piles do.
+        def before(x, y):
+            return x == 0 or (x < y and raw[x - 1] < raw[y - 1])
+
+        chosen = [0, *i_set]
+        members = set(i_set)
+        for step in result.steps:
+            t = (step.remove + 1) // 2
+            assert step.remove in members and step.add not in members
+            assert (step.add + 1) // 2 == t
+            members.remove(step.remove)
+            members.add(step.add)
+            chosen[t] = step.add
+            assert before(chosen[t - 1], chosen[t])
+            assert t + 1 == len(chosen) or before(chosen[t], chosen[t + 1])
+        assert members == set(j_set)
+
+    def test_no_instance(self):
+        # A 7 8 5 6 block appended after the 2 1 4 3 ... prefix: its two
+        # piles form the only forbidden pair.
+        raw, i_set, j_set = two_one_blocks(self.N)
+        n = self.N
+        raw += (n + 3, n + 4, n + 1, n + 2)
+        i_set += (n + 1, n + 2)
+        j_set += (n + 3, n + 4)
+        start = time.perf_counter()
+        result = shortest_sequence(normalize(raw), i_set, j_set)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"shortest_sequence at n={n + 4} took {elapsed:.2f}s"
+        assert result == NoSequence(
+            forbidden=(
+                MixedPile(pile=n // 2 + 1, i_elem=n + 1, j_elem=n + 3),
+                MixedPile(pile=n // 2 + 2, i_elem=n + 2, j_elem=n + 4),
+            )
+        )

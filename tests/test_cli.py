@@ -257,6 +257,19 @@ class TestRun:
         monkeypatch.delenv("LISRC_ORACLE_BOUND")
         assert run(["oracle", str(path)]) == 2
 
+    def test_negative_oracle_bound_flag(self, capsys):
+        assert run(["gen", "-n", "12", "--seed", "1", "--max-oracle-n", "-5"]) == 2
+        assert "--max-oracle-n: must be >= 0" in capsys.readouterr().err
+        assert run(["oracle", "--max-oracle-n", "-5", K22_FILE]) == 2
+        assert "--max-oracle-n: must be >= 0" in capsys.readouterr().err
+
+    def test_negative_oracle_bound_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("LISRC_ORACLE_BOUND", "-5")
+        assert run(["oracle", K22_FILE]) == 2
+        assert "LISRC_ORACLE_BOUND must be >= 0, got -5" in capsys.readouterr().err
+        assert run(["gen", "-n", "12", "--seed", "1"]) == 2
+        assert "LISRC_ORACLE_BOUND must be >= 0" in capsys.readouterr().err
+
     def test_json_deterministic(self, capsys):
         assert run(["decide", "--json", K22_FILE]) == 0
         first = capsys.readouterr().out
