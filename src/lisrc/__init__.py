@@ -47,20 +47,21 @@ from .piles import (
     placement_pile,
 )
 from .reconfig import (
+    Answer,
     ReconfSequence,
     SwapStep,
     apply_step,
     decide,
     downward_moves,
+    is_maximum_feasible,
     minimal_set,
+    reconfigure,
     witness,
 )
 from .seqcore import (
     FeasibleSet,
     Sequence,
     is_feasible,
-    is_maximum_feasible,
-    lis_length,
     normalize,
     precedes,
     require_feasible,
@@ -69,6 +70,7 @@ from .seqcore import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Answer",
     "Bipartition",
     "DEFAULT_BOUND",
     "DuplicateValue",
@@ -103,7 +105,6 @@ __all__ = [
     "find_forbidden_pair",
     "is_feasible",
     "is_maximum_feasible",
-    "lis_length",
     "minimal_set",
     "mixed_piles",
     "normalize",
@@ -112,6 +113,7 @@ __all__ = [
     "pile_coord",
     "placement_pile",
     "precedes",
+    "reconfigure",
     "require_feasible",
     "shortest_sequence",
     "two_coloring",

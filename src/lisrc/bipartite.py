@@ -21,10 +21,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import IndexOutOfRange, NotMaximum, SizeMismatch
 from .piles import PileSystem, build_piles
-from .reconfig import ReconfSequence, SwapStep, _per_pile, _require_maximum
-from .seqcore import FeasibleSet, Sequence, _canonical, precedes
+from .reconfig import ReconfSequence, SwapStep, _per_pile, require_pair
+from .seqcore import Sequence, precedes
 
 # bench/spans.py wraps `is_feasible` in this namespace, so it stays
 # importable from here although nothing in this module calls it.
@@ -160,42 +159,23 @@ def _normalize_cycle(cycle: list[int]) -> tuple[int, ...]:
 
 
 def mixed_piles(
-    ps: PileSystem, i_set: Iterable[int], j_set: Iterable[int]
+    seq: Sequence, ps: PileSystem, i_set: Iterable[int], j_set: Iterable[int]
 ) -> list[MixedPile]:
     """Piles of exactly two entries, one private to each input set.
 
-    Ascending pile id.  When every pile has at most two entries, the
-    count equals |I \\ J|: each element private to I shares its pile with
-    exactly one element private to J.
+    Both sets must be maximum feasible (`require_pair`), so each holds one
+    element per pile.  Ascending pile id.  When every pile has at most two
+    entries, the count equals |I \\ J|: each element private to I shares
+    its pile with exactly one element private to J.
     """
-    members_i = _canonical(i_set)
-    members_j = _canonical(j_set)
-    if len(members_i) != len(members_j):
-        raise SizeMismatch(len(members_i), len(members_j))
-    _require_pile_cover(ps, members_i)
-    _require_pile_cover(ps, members_j)
-    only_i = set(members_i) - set(members_j)
-    only_j = set(members_j) - set(members_i)
-    result = []
-    for t in range(1, ps.k + 1):
-        pile = ps.piles[t]
-        if len(pile) != 2:
-            continue
-        low, high = pile
-        if low in only_i and high in only_j:
-            result.append(MixedPile(pile=t, i_elem=low, j_elem=high))
-        elif high in only_i and low in only_j:
-            result.append(MixedPile(pile=t, i_elem=high, j_elem=low))
-    return result
-
-
-def _require_pile_cover(ps: PileSystem, members: FeasibleSet) -> None:
-    """Necessary condition for a maximum feasible set: one element per pile."""
-    for i in members:
-        if not 1 <= i <= ps.n:
-            raise IndexOutOfRange(i, ps.n)
-    if sorted(ps.pile_of[i] for i in members) != list(range(1, ps.k + 1)):
-        raise NotMaximum(f"{members} does not take one element from every pile")
+    members_i, members_j = require_pair(seq, ps, i_set, j_set)
+    chosen_i = _per_pile(ps, members_i)
+    chosen_j = _per_pile(ps, members_j)
+    return [
+        MixedPile(pile=t, i_elem=x, j_elem=y)
+        for t, (x, y) in enumerate(zip(chosen_i, chosen_j))
+        if x != y and len(ps.piles[t]) == 2
+    ]
 
 
 def find_forbidden_pair(
@@ -279,17 +259,12 @@ def shortest_sequence(
     piles are ordered, so each swap is checked in O(1) against the chosen
     elements of piles t - 1 and t + 1.  O(n log n) overall.
     """
-    members_i = _canonical(i_set)
-    members_j = _canonical(j_set)
-    if len(members_i) != len(members_j):
-        raise SizeMismatch(len(members_i), len(members_j))
     ps = build_piles(seq)
-    _require_maximum(seq, ps, members_i)
-    _require_maximum(seq, ps, members_j)
+    members_i, members_j = require_pair(seq, ps, i_set, j_set)
     triple = decreasing_triple(seq)
     if triple is not None:
         return NotBipartite(odd_cycle=triple)
-    mixed = mixed_piles(ps, members_i, members_j)
+    mixed = mixed_piles(seq, ps, members_i, members_j)
     pair = find_forbidden_pair(seq, mixed)
     if pair is not None:
         return NoSequence(forbidden=pair)

@@ -24,15 +24,12 @@ from . import bipartite as bp
 from . import oracle as orc
 from .errors import GenerationFailed, LisrcError, ParseError
 from .piles import PileSystem, build_piles, extract_canonical_max
-from .reconfig import ReconfSequence, minimal_set
-from .seqcore import (
-    FeasibleSet,
-    Sequence,
-    is_maximum_feasible,
-    lis_length,
-    normalize,
-    require_feasible,
-)
+from .reconfig import ReconfSequence, reconfigure
+from .seqcore import FeasibleSet, Sequence, normalize, require_feasible
+
+# bench/spans.py wraps `minimal_set` in this namespace, so it stays
+# importable from here although nothing in this module calls it.
+from .reconfig import minimal_set  # noqa: F401
 
 ORACLE_BOUND_ENV = "LISRC_ORACLE_BOUND"
 GEN_MAX_ATTEMPTS = 10000
@@ -71,25 +68,17 @@ def parse_instance(
     seq = normalize(_int_tokens(*data_lines[0]))
     if len(data_lines) == 1:
         return seq, None, None
-    i_set = _index_set(seq, *data_lines[1])
-    j_set = _index_set(seq, *data_lines[2])
+    i_set, j_set = (
+        require_feasible(seq, _int_tokens(*line, distinct=True))
+        for line in data_lines[1:]
+    )
     return seq, i_set, j_set
 
 
-def _int_tokens(lineno: int, line: str) -> list[int]:
-    values = []
-    for match in re.finditer(r"\S+", line):
-        try:
-            values.append(int(match.group()))
-        except ValueError:
-            raise ParseError(
-                lineno, match.start() + 1, f"invalid integer {match.group()!r}"
-            ) from None
-    return values
-
-
-def _index_set(seq: Sequence, lineno: int, line: str) -> FeasibleSet:
-    indices: list[int] = []
+def _int_tokens(lineno: int, line: str, distinct: bool = False) -> list[int]:
+    """The integers of one data line; with `distinct`, a repeat is a ParseError."""
+    values: list[int] = []
+    seen: set[int] = set()
     for match in re.finditer(r"\S+", line):
         try:
             value = int(match.group())
@@ -97,12 +86,14 @@ def _index_set(seq: Sequence, lineno: int, line: str) -> FeasibleSet:
             raise ParseError(
                 lineno, match.start() + 1, f"invalid integer {match.group()!r}"
             ) from None
-        if value in indices:
-            raise ParseError(
-                lineno, match.start() + 1, f"duplicate index {value}"
-            )
-        indices.append(value)
-    return require_feasible(seq, indices)
+        if distinct:
+            if value in seen:
+                raise ParseError(
+                    lineno, match.start() + 1, f"duplicate index {value}"
+                )
+            seen.add(value)
+        values.append(value)
+    return values
 
 
 def format_instance(
@@ -219,11 +210,21 @@ def dot_reconfig_graph(graph: orc.ReconfGraph) -> str:
 # Subcommands
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(
+    args, payload: dict, text_lines: list[str], walk: ReconfSequence | None = None
+) -> None:
+    """Print the payload as JSON, or the text lines followed by the walk.
+
+    The walk is rendered on the text path only: --json prints its steps
+    from the payload and never needs the intermediate sets.
+    """
     if args.json:
         print(json.dumps(payload))
-    else:
-        for line in text_lines:
+        return
+    for line in text_lines:
+        print(line)
+    if walk is not None:
+        for line in _render_walk(walk):
             print(line)
 
 
@@ -238,43 +239,22 @@ def _load(args, require_sets: bool = True):
         return parse_instance(handle.read(), require_sets=require_sets)
 
 
-def _cmd_decide(args) -> int:
+def _cmd_reconfigure(args) -> int:
+    """`decide` and `witness`: one Answer, its walk shown by `witness` only."""
     seq, i_set, j_set = _load(args)
-    ps = build_piles(seq)
-    m_i, _ = minimal_set(seq, ps, i_set)
-    m_j, _ = minimal_set(seq, ps, j_set)
-    yes = m_i == m_j
-    _emit(
-        args,
-        {
-            "answer": "yes" if yes else "no",
-            "minimal_I": list(m_i),
-            "minimal_J": list(m_j),
-        },
-        ["YES" if yes else "NO"],
-    )
-    return _yesno_status(args, yes)
-
-
-def _cmd_witness(args) -> int:
-    seq, i_set, j_set = _load(args)
-    ps = build_piles(seq)
-    m_i, trace_i = minimal_set(seq, ps, i_set)
-    m_j, trace_j = minimal_set(seq, ps, j_set)
+    answer = reconfigure(seq, i_set, j_set)
+    yes = answer.walk is not None
     payload: dict = {
-        "answer": "yes" if m_i == m_j else "no",
-        "minimal_I": list(m_i),
-        "minimal_J": list(m_j),
+        "answer": "yes" if yes else "no",
+        "minimal_I": list(answer.minimal_i),
+        "minimal_J": list(answer.minimal_j),
     }
-    if m_i != m_j:
-        _emit(args, payload, ["NO"])
-        return _yesno_status(args, False)
-    steps = tuple(trace_i) + tuple(s.inverted() for s in reversed(trace_j))
-    rs = ReconfSequence(start=i_set, steps=steps)
-    payload["steps"] = _steps_json(rs)
-    payload["length"] = len(rs)
-    _emit(args, payload, ["YES", *_render_walk(rs)])
-    return _yesno_status(args, True)
+    walk = answer.walk if args.command == "witness" else None
+    if walk is not None:
+        payload["steps"] = _steps_json(walk)
+        payload["length"] = len(walk)
+    _emit(args, payload, ["YES" if yes else "NO"], walk)
+    return _yesno_status(args, yes)
 
 
 def _cmd_shortest(args) -> int:
@@ -305,7 +285,7 @@ def _cmd_shortest(args) -> int:
         )
         return _yesno_status(args, False)
     payload = {"answer": "yes", "steps": _steps_json(result), "length": len(result)}
-    _emit(args, payload, ["YES", *_render_walk(result)])
+    _emit(args, payload, ["YES"], result)
     return _yesno_status(args, True)
 
 
@@ -336,19 +316,17 @@ def _cmd_oracle(args) -> int:
     seq, i_set, j_set = _load(args)
     bound = _oracle_bound(args)
     maximum_only = not args.general
-    if args.enumerate:
-        size = lis_length(seq) if maximum_only else len(i_set)
+    if args.enumerate or args.dot:
+        size = build_piles(seq).k if maximum_only else len(i_set)
         sets = orc.enumerate_feasible(seq, size, bound)
+        if args.dot:
+            print(dot_reconfig_graph(orc.build_reconfig_graph(sets)), end="")
+            return 0
         _emit(
             args,
             {"count": len(sets), "sets": [list(s) for s in sets]},
             [_fmt_set(s) for s in sets],
         )
-        return 0
-    if args.dot:
-        size = lis_length(seq) if maximum_only else len(i_set)
-        graph = orc.build_reconfig_graph(orc.enumerate_feasible(seq, size, bound))
-        print(dot_reconfig_graph(graph), end="")
         return 0
     if args.shortest:
         found = orc.oracle_shortest(seq, i_set, j_set, maximum_only, bound)
@@ -379,9 +357,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     seq, i_set, j_set = _load(args)
-    k = lis_length(seq)
-    i_max = is_maximum_feasible(seq, i_set)
-    j_max = is_maximum_feasible(seq, j_set)
+    k = build_piles(seq).k
+    # parse_instance has checked both sets are feasible.
+    i_max = len(i_set) == k
+    j_max = len(j_set) == k
     _emit(
         args,
         {
@@ -467,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add("decide", _cmd_decide, "can I be reconfigured into J?")
-    add("witness", _cmd_witness, "print one reconfiguration sequence")
+    add("decide", _cmd_reconfigure, "can I be reconfigured into J?")
+    add("witness", _cmd_reconfigure, "print one reconfiguration sequence")
     add("shortest", _cmd_shortest, "shortest sequence (bipartite graphs only)")
     add("piles", _cmd_piles, "print the pile structure")
     add("graph", _cmd_graph, "emit the permutation graph as DOT")

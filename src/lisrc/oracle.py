@@ -12,15 +12,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NotMaximum, SizeMismatch, TooLarge
-from .reconfig import ReconfSequence, SwapStep
-from .seqcore import (
-    FeasibleSet,
-    Sequence,
-    _canonical,
-    lis_length,
-    require_feasible,
-)
+from .errors import SizeMismatch, TooLarge
+from .piles import build_piles
+from .reconfig import ReconfSequence, SwapStep, require_pair
+from .seqcore import FeasibleSet, Sequence
 
 DEFAULT_BOUND = 16
 
@@ -105,17 +100,8 @@ def _graph_for(
     bound: int,
 ) -> tuple[ReconfGraph, FeasibleSet, FeasibleSet]:
     _check_bound(seq, bound)
-    members_i = require_feasible(seq, _canonical(i_set))
-    members_j = require_feasible(seq, _canonical(j_set))
-    if len(members_i) != len(members_j):
-        raise SizeMismatch(len(members_i), len(members_j))
-    if maximum_only:
-        k = lis_length(seq)
-        for members in (members_i, members_j):
-            if len(members) != k:
-                raise NotMaximum(
-                    f"{members} has size {len(members)}, maximum feasible size is {k}"
-                )
+    ps = build_piles(seq) if maximum_only else None
+    members_i, members_j = require_pair(seq, ps, i_set, j_set)
     graph = build_reconfig_graph(enumerate_feasible(seq, len(members_i), bound))
     return graph, members_i, members_j
 

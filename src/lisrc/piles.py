@@ -91,8 +91,6 @@ def build_piles(seq: Sequence) -> PileSystem:
             tops[t] = v
         pile_of[i] = t
         depth_of[i] = len(piles[t]) - 1
-        # Tops stay sorted after every single insertion.
-        assert tops[t - 1] < tops[t] and (t + 1 == len(tops) or tops[t] < tops[t + 1])
     return PileSystem(
         piles=tuple(tuple(p) for p in piles),
         pile_of=tuple(pile_of),

@@ -11,6 +11,11 @@ representatives coincide.
 
 Descent order is fixed for reproducible traces: always the lowest pile id
 that admits a move, and within that pile the deepest reachable entry.
+
+`reconfigure` is the one query: it returns both representatives and, when
+they coincide, a walk (`Answer`); `decide` and `witness` read it.  Sets
+are validated by `require_maximum` (a single set) and `require_pair` (the
+two sets of one query), both built on `seqcore.require_feasible`.
 """
 from __future__ import annotations
 
@@ -19,9 +24,13 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
-from .errors import NotMaximum, SizeMismatch
+from .errors import Infeasible, NotMaximum, SizeMismatch
 from .piles import PileSystem, build_piles
-from .seqcore import FeasibleSet, Sequence, _canonical, is_feasible
+from .seqcore import FeasibleSet, Sequence, require_feasible
+
+# bench/spans.py wraps `is_feasible` in this namespace, so it stays
+# importable from here although nothing in this module calls it.
+from .seqcore import is_feasible  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,15 +76,45 @@ def apply_step(s: FeasibleSet, step: SwapStep) -> FeasibleSet:
     return tuple(sorted(set(s) - {step.remove} | {step.add}))
 
 
-def _require_maximum(seq: Sequence, ps: PileSystem, s: Iterable[int]) -> FeasibleSet:
-    members = _canonical(s)
-    if not is_feasible(seq, members):
-        raise NotMaximum(f"{members} is not an increasing index set")
+def require_maximum(seq: Sequence, ps: PileSystem, s: Iterable[int]) -> FeasibleSet:
+    """Validate a maximum feasible set: `require_feasible`, then size k.
+
+    Raises NotMaximum for a feasible set smaller than `ps.k`; returns the
+    sorted tuple.
+    """
+    members = require_feasible(seq, s)
     if len(members) != ps.k:
         raise NotMaximum(
             f"{members} has size {len(members)}, maximum feasible size is {ps.k}"
         )
     return members
+
+
+def require_pair(
+    seq: Sequence, ps: PileSystem | None, i_set: Iterable[int], j_set: Iterable[int]
+) -> tuple[FeasibleSet, FeasibleSet]:
+    """Validate the two sets of one query, in a fixed order.
+
+    Both must be feasible (IndexOutOfRange, Infeasible), of equal size
+    (SizeMismatch), and, unless `ps` is None, maximum (NotMaximum).
+    """
+    members_i = require_feasible(seq, i_set)
+    members_j = require_feasible(seq, j_set)
+    if len(members_i) != len(members_j):
+        raise SizeMismatch(len(members_i), len(members_j))
+    if ps is not None:
+        require_maximum(seq, ps, members_i)
+        require_maximum(seq, ps, members_j)
+    return members_i, members_j
+
+
+def is_maximum_feasible(seq: Sequence, s: Iterable[int]) -> bool:
+    """True iff `s` is feasible and as large as any feasible set."""
+    try:
+        require_maximum(seq, build_piles(seq), s)
+    except (Infeasible, NotMaximum):
+        return False
+    return True
 
 
 def _per_pile(ps: PileSystem, members: FeasibleSet) -> list[int]:
@@ -130,7 +169,7 @@ def downward_moves(
     Ordered by pile id, then by target depth from the pile bottom up
     (largest depth gap first).  Requires a maximum feasible set.
     """
-    members = _require_maximum(seq, ps, s)
+    members = require_maximum(seq, ps, s)
     chosen = _per_pile(ps, members)
     moves: list[SwapStep] = []
     for t in range(1, ps.k + 1):
@@ -156,7 +195,7 @@ def minimal_set(
     is only re-examined after one of its neighbors changes, so the whole
     descent costs O((n + moves) log n).
     """
-    members = _require_maximum(seq, ps, s)
+    members = require_maximum(seq, ps, s)
     chosen = _per_pile(ps, members)
     trace: list[SwapStep] = []
     # Piles of size 1 can never move; seed the worklist with the rest.
@@ -183,35 +222,46 @@ def minimal_set(
     return tuple(sorted(chosen[1:])), trace
 
 
+@dataclass(frozen=True)
+class Answer:
+    """Both canonical representatives and, on YES, a walk from I to J.
+
+    `walk` is None exactly when the representatives differ (NO).  The walk
+    concatenates the descent of I with the inverted, reversed descent of
+    J; it is not length-minimal in general.
+    """
+
+    minimal_i: FeasibleSet
+    minimal_j: FeasibleSet
+    walk: ReconfSequence | None
+
+
+def reconfigure(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> Answer:
+    """Descend both maximum feasible sets to their representatives.
+
+    The one computation behind `decide`, `witness` and the CLI.
+    """
+    ps = build_piles(seq)
+    members_i, members_j = require_pair(seq, ps, i_set, j_set)
+    m_i, trace_i = minimal_set(seq, ps, members_i)
+    m_j, trace_j = minimal_set(seq, ps, members_j)
+    walk = None
+    if m_i == m_j:
+        steps = tuple(trace_i) + tuple(step.inverted() for step in reversed(trace_j))
+        walk = ReconfSequence(start=members_i, steps=steps)
+    return Answer(minimal_i=m_i, minimal_j=m_j, walk=walk)
+
+
 def decide(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> bool:
     """Can `i_set` be transformed into `j_set` by single swaps?
 
     True exactly when both descend to the same canonical representative.
     """
-    members_i = _canonical(i_set)
-    members_j = _canonical(j_set)
-    if len(members_i) != len(members_j):
-        raise SizeMismatch(len(members_i), len(members_j))
-    ps = build_piles(seq)
-    return minimal_set(seq, ps, members_i)[0] == minimal_set(seq, ps, members_j)[0]
+    return reconfigure(seq, i_set, j_set).walk is not None
 
 
 def witness(
     seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]
 ) -> ReconfSequence | None:
-    """A concrete swap sequence from `i_set` to `j_set`, if one exists.
-
-    Concatenates the descent of `i_set` with the inverted, reversed
-    descent of `j_set`; not length-minimal in general.
-    """
-    members_i = _canonical(i_set)
-    members_j = _canonical(j_set)
-    if len(members_i) != len(members_j):
-        raise SizeMismatch(len(members_i), len(members_j))
-    ps = build_piles(seq)
-    m_i, trace_i = minimal_set(seq, ps, members_i)
-    m_j, trace_j = minimal_set(seq, ps, members_j)
-    if m_i != m_j:
-        return None
-    steps = tuple(trace_i) + tuple(step.inverted() for step in reversed(trace_j))
-    return ReconfSequence(start=members_i, steps=steps)
+    """A concrete swap sequence from `i_set` to `j_set`, if one exists."""
+    return reconfigure(seq, i_set, j_set).walk

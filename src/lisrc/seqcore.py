@@ -5,10 +5,14 @@ the rank-normalized permutation of 1..n that all algorithms work on.  Index
 sets are 1-based and always reported in terms of the original positions.
 Index 0 is reserved for the sentinel element of value 0 that the pile
 construction prepends; it never appears in user-facing sets.
+
+`require_feasible` is the only validation of a caller's index set; every
+entry point of the package runs it (directly or through
+`reconfig.require_maximum`) before touching the set.  The longest
+increasing subsequence length is `piles.build_piles(seq).k`.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -70,53 +74,40 @@ def precedes(seq: Sequence, i: int, j: int) -> bool:
     return i == j or (i < j and vi < vj)
 
 
-def _canonical(indices: Iterable[int]) -> FeasibleSet:
-    return tuple(sorted(set(indices)))
-
-
-def is_feasible(seq: Sequence, s: Iterable[int]) -> bool:
-    """True iff the values at the given positions increase with position."""
-    members = _canonical(s)
-    for i in members:
-        if not 1 <= i <= seq.n:
-            raise IndexOutOfRange(i, seq.n)
-    return all(
-        seq.value(i) < seq.value(j) for i, j in zip(members, members[1:])
-    )
-
-
 def require_feasible(seq: Sequence, s: Iterable[int]) -> FeasibleSet:
-    """Canonicalize an index set, raising Infeasible with an offending pair."""
-    members = _canonical(s)
+    """Validate an index set and return it as a sorted tuple.
+
+    The one check every entry point runs on a caller's index set.  Each
+    member must be an int in 1..n (a bool, float or str raises
+    IndexOutOfRange like an index out of range), and the values at the
+    members must increase with position, else Infeasible reports the
+    first offending pair.  Repeated members count once.
+
+    >>> require_feasible(normalize((7, 8, 5, 6)), [4, 3])
+    (3, 4)
+    """
+    items = list(s)
+    for i in items:
+        if type(i) is not int:
+            raise IndexOutOfRange(i, seq.n)
+    members = tuple(sorted(set(items)))
     for i in members:
         if not 1 <= i <= seq.n:
             raise IndexOutOfRange(i, seq.n)
+    perm = seq.perm
     for i, j in zip(members, members[1:]):
-        if seq.value(i) > seq.value(j):
+        if perm[i - 1] > perm[j - 1]:
             raise Infeasible(i, j, seq.raw[i - 1], seq.raw[j - 1])
     return members
 
 
-def lis_length(seq: Sequence) -> int:
-    """Length of a longest increasing subsequence.
+def is_feasible(seq: Sequence, s: Iterable[int]) -> bool:
+    """True iff the values at the given positions increase with position.
 
-    Standard O(n log n) tail table; equals the number of piles built by
-    `piles.build_piles` (sentinel pile excluded).
-
-    >>> lis_length(normalize((7, 8, 5, 6)))
-    2
+    The boolean form of `require_feasible`; invalid indices still raise.
     """
-    tails: list[int] = []
-    for v in seq.perm:
-        pos = bisect_left(tails, v)
-        if pos == len(tails):
-            tails.append(v)
-        else:
-            tails[pos] = v
-    return len(tails)
-
-
-def is_maximum_feasible(seq: Sequence, s: Iterable[int]) -> bool:
-    """True iff `s` is feasible and as large as any feasible set."""
-    members = _canonical(s)
-    return is_feasible(seq, members) and len(members) == lis_length(seq)
+    try:
+        require_feasible(seq, s)
+    except Infeasible:
+        return False
+    return True

@@ -1,9 +1,10 @@
 """Naive reference implementations the tests cross-check the package against.
 
-Everything here works straight off the raw value list with itertools, so
-it shares no code path with the package.  Exponential; keep n small.
+Everything here works straight off the raw value list, so it shares no
+code path with the package.  Exponential, except `lis_length`; keep n small.
 """
 import itertools
+from bisect import bisect_left
 from collections import Counter, deque
 
 
@@ -30,6 +31,22 @@ def lis_len(raw):
         ):
             return size
     return 0
+
+
+def lis_length(raw):
+    """LIS length by the O(n log n) tail table, for n beyond `lis_len`.
+
+    tails[p] is the smallest value that ends an increasing run of length
+    p + 1 seen so far.
+    """
+    tails = []
+    for v in raw:
+        pos = bisect_left(tails, v)
+        if pos == len(tails):
+            tails.append(v)
+        else:
+            tails[pos] = v
+    return len(tails)
 
 
 def max_feasible_sets(raw):

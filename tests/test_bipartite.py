@@ -142,39 +142,40 @@ class TestDecreasingTriple:
 class TestMixedPiles:
     def test_both_piles_mixed(self):
         raw, i_set, j_set = K22_NO
-        ps = build_piles(normalize(raw))
-        assert mixed_piles(ps, i_set, j_set) == [
+        seq = normalize(raw)
+        assert mixed_piles(seq, build_piles(seq), i_set, j_set) == [
             MixedPile(pile=1, i_elem=1, j_elem=3),
             MixedPile(pile=2, i_elem=2, j_elem=4),
         ]
 
     def test_identical_sets(self):
-        ps = build_piles(normalize(K22_NO[0]))
-        assert mixed_piles(ps, (1, 2), (1, 2)) == []
+        seq = normalize(K22_NO[0])
+        assert mixed_piles(seq, build_piles(seq), (1, 2), (1, 2)) == []
 
     def test_small_bipartite_instance(self):
         raw, i_set, j_set = BIP
-        ps = build_piles(normalize(raw))
-        assert mixed_piles(ps, i_set, j_set) == [
+        seq = normalize(raw)
+        assert mixed_piles(seq, build_piles(seq), i_set, j_set) == [
             MixedPile(pile=1, i_elem=1, j_elem=2),
             MixedPile(pile=2, i_elem=3, j_elem=4),
         ]
 
     def test_size_mismatch(self):
-        ps = build_piles(normalize(K22_NO[0]))
+        seq = normalize(K22_NO[0])
         with pytest.raises(SizeMismatch):
-            mixed_piles(ps, (1, 2), (1,))
+            mixed_piles(seq, build_piles(seq), (1, 2), (1,))
 
     def test_rejects_non_maximum(self):
-        ps = build_piles(normalize(K22_NO[0]))
+        seq = normalize(K22_NO[0])
         with pytest.raises(NotMaximum):
-            mixed_piles(ps, (1, 3), (1, 2))  # both in pile 1
+            mixed_piles(seq, build_piles(seq), (1,), (3,))
 
     def test_count_equals_private_elements_when_bipartite(self):
         for raw, i_set, j_set in random_bipartite_instances(seed=21, wanted=80):
-            ps = build_piles(normalize(raw))
+            seq = normalize(raw)
+            ps = build_piles(seq)
             assert all(len(p) <= 2 for p in ps.piles[1:])
-            mixed = mixed_piles(ps, i_set, j_set)
+            mixed = mixed_piles(seq, ps, i_set, j_set)
             assert len(mixed) == len(set(i_set) - set(j_set))
             for mp in mixed:
                 assert mp.i_elem in set(i_set) - set(j_set)
@@ -186,7 +187,7 @@ class TestFindForbiddenPair:
     def test_four_cycle_found(self):
         raw, i_set, j_set = K22_NO
         seq = normalize(raw)
-        mixed = mixed_piles(build_piles(seq), i_set, j_set)
+        mixed = mixed_piles(seq, build_piles(seq), i_set, j_set)
         pair = find_forbidden_pair(seq, mixed)
         assert pair is not None
         assert (pair[0].pile, pair[1].pile) == (1, 2)
@@ -194,13 +195,13 @@ class TestFindForbiddenPair:
     def test_disjoint_edges_absent(self):
         raw, i_set, j_set = BIP
         seq = normalize(raw)
-        mixed = mixed_piles(build_piles(seq), i_set, j_set)
+        mixed = mixed_piles(seq, build_piles(seq), i_set, j_set)
         assert find_forbidden_pair(seq, mixed) is None
 
     def test_fewer_than_two_mixed_piles(self):
         seq = normalize(K22_NO[0])
         assert find_forbidden_pair(seq, []) is None
-        mixed = mixed_piles(build_piles(seq), (1, 2), (1, 2))
+        mixed = mixed_piles(seq, build_piles(seq), (1, 2), (1, 2))
         assert find_forbidden_pair(seq, mixed) is None
 
 
@@ -305,14 +306,14 @@ def _check_replay(seq, ps, first_pair, result, i_set, j_set):
     pair behind."""
     sets = list(result.sets())
     assert sets[0] == i_set and sets[-1] == j_set
-    mixed = mixed_piles(ps, i_set, j_set)
+    mixed = mixed_piles(seq, ps, i_set, j_set)
     for step, after in zip(result.steps, sets[1:]):
         pile = ps.pile_of[step.remove]
         assert [(m.i_elem, m.j_elem) for m in mixed if m.pile == pile] == [
             (step.remove, step.add)
         ]
         resolved = [m for m in mixed if m.pile != pile]
-        mixed = mixed_piles(ps, after, j_set)
+        mixed = mixed_piles(seq, ps, after, j_set)
         assert mixed == resolved
         assert is_maximum_feasible(seq, after)
         assert first_pair(after, j_set) is None

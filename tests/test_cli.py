@@ -9,6 +9,7 @@ from lisrc import (
     IndexOutOfRange,
     Infeasible,
     ParseError,
+    ReconfSequence,
     build_graph,
     is_maximum_feasible,
     normalize,
@@ -145,6 +146,23 @@ class TestRun:
         assert run(["shortest", BIP_FILE]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out == ["YES", "length 2", "{1,3}", "swap 1 -> 2: {2,3}", "swap 3 -> 4: {2,4}"]
+
+    def test_json_does_not_replay_the_walk(self, capsys, monkeypatch):
+        # --json prints the steps only; the intermediate sets are text output.
+        cases = [("witness", DETOUR_FILE), ("witness", BIP_FILE), ("shortest", BIP_FILE)]
+        expected = []
+        for command, path in cases:
+            assert run([command, "--json", path]) == 0
+            expected.append(capsys.readouterr().out)
+
+        def replay(self):
+            raise AssertionError("--json replayed the walk")
+
+        monkeypatch.setattr(ReconfSequence, "sets", replay)
+        for (command, path), out in zip(cases, expected):
+            assert run([command, "--json", path]) == 0
+            assert capsys.readouterr().out == out
+            assert json.loads(out)["length"] > 0
 
     def test_shortest_reports_forbidden_pair(self, capsys):
         assert run(["shortest", K22_FILE]) == 0

@@ -7,7 +7,6 @@ from lisrc import (
     build_piles,
     extract_canonical_max,
     is_maximum_feasible,
-    lis_length,
     normalize,
     pile_coord,
     placement_pile,
@@ -70,7 +69,7 @@ class TestBuildPiles:
         for raw in corpus():
             seq = normalize(raw)
             ps = build_piles(seq)
-            assert ps.k == lis_length(seq)
+            assert ps.k == bf.lis_length(raw)
             assert ps.piles[0] == (0,)
             tops = [seq.value(p[-1]) for p in ps.piles]
             assert tops == sorted(tops)

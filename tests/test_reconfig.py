@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lisrc import (
+    Infeasible,
     NotMaximum,
     ReconfSequence,
     SizeMismatch,
@@ -80,7 +81,7 @@ class TestDownwardMoves:
         ps = build_piles(seq)
         with pytest.raises(NotMaximum):
             downward_moves(seq, ps, (1,))
-        with pytest.raises(NotMaximum):
+        with pytest.raises(Infeasible):
             downward_moves(seq, ps, (1, 3))
 
     def test_matches_naive_reference(self):

@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 
 from lisrc import (
     DuplicateValue,
+    build_piles,
     IndexOutOfRange,
     Infeasible,
     is_feasible,
     is_maximum_feasible,
-    lis_length,
     normalize,
     precedes,
     require_feasible,
@@ -126,21 +126,21 @@ class TestRequireFeasible:
 class TestLisLength:
     def test_sorted_input(self):
         for n in (0, 1, 5, 9):
-            assert lis_length(normalize(range(1, n + 1))) == n
+            assert build_piles(normalize(range(1, n + 1))).k == n
 
     def test_k22_sequence(self):
         raw = K22_NO[0]
         assert bf.lis_len(raw) == 2
-        assert lis_length(normalize(raw)) == 2
+        assert build_piles(normalize(raw)).k == 2
 
     def test_detour_sequence(self):
-        assert lis_length(normalize(DETOUR[0])) == 3
+        assert build_piles(normalize(DETOUR[0])).k == 3
 
     def test_matches_enumeration(self):
         rng = random.Random(5)
         for _ in range(150):
             raw = bf.random_perm(rng, rng.randint(0, 12))
-            assert lis_length(normalize(raw)) == bf.lis_len(raw)
+            assert build_piles(normalize(raw)).k == bf.lis_len(raw)
 
 
 class TestIsMaximumFeasible:
