@@ -7,7 +7,11 @@ Instance file format, three data lines::
     1 2         <- index set I, 1-based
     3 4         <- index set J, 1-based
 
-Exit status is 0 on success and 2 on any error.  With --exit-status the
+A value or index is an optional `-` followed by ASCII digits; any
+whitespace separates them.
+
+Exit status is 0 on success and 2 on any error, a stdout whose reader
+has left included (that one without a message).  With --exit-status the
 yes/no subcommands instead report YES as 0 and NO as 1.
 """
 from __future__ import annotations
@@ -76,15 +80,34 @@ def parse_instance(
 
 
 def _int_tokens(lineno: int, line: str, distinct: bool = False) -> list[int]:
-    """The integers of one data line; with `distinct`, a repeat is a ParseError."""
-    values: list[int] = []
+    """The integers of one data line; with `distinct`, a repeat is a ParseError.
+
+    A token is an optional `-` followed by ASCII digits, and tokens are
+    separated by any whitespace.  On an ASCII line without `+` or `_`,
+    `int` accepts exactly such tokens, so the whole line converts in one
+    pass.  The line is scanned token by token only when that pass fails,
+    to report the first bad token, or when the line falls outside that
+    case.
+    """
+    if line.isascii() and "+" not in line and "_" not in line:
+        try:
+            values = list(map(int, line.split()))
+        except ValueError:
+            pass
+        else:
+            if not distinct or len(set(values)) == len(values):
+                return values
+    values = []
     seen: set[int] = set()
     for match in re.finditer(r"\S+", line):
+        token = match.group()
         try:
-            value = int(match.group())
+            if not re.fullmatch(r"-?[0-9]+", token):
+                raise ValueError
+            value = int(token)  # also refuses over 4300 digits by default
         except ValueError:
             raise ParseError(
-                lineno, match.start() + 1, f"invalid integer {match.group()!r}"
+                lineno, match.start() + 1, f"invalid integer {token!r}"
             ) from None
         if distinct:
             if value in seen:
@@ -486,7 +509,19 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader of stdout has left (`lisrc ... | head`): say nothing,
+        # and point stdout at the null device so that the interpreter's
+        # last flush of what is still buffered does not fail either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return 2
     except LisrcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

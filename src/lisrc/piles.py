@@ -71,28 +71,36 @@ def placement_pile(tops: list[int], v: int) -> int:
 def build_piles(seq: Sequence) -> PileSystem:
     """Deal the sequence (sentinel first) into piles.
 
-    O(n log n): one binary search over the pile tops per element.
+    O(n log n): one binary search over the pile tops per element, the
+    search of `placement_pile` inlined.  An element's depth is the height
+    of its pile before it lands, and its blocker is read off `top_index`,
+    the index of each pile's current top.
     """
     n = seq.n
     piles: list[list[int]] = [[0]]
     tops = [0]
+    top_index = [0]
     pile_of = [0] * (n + 1)
     depth_of = [0] * (n + 1)
     blocker = [-1] * (n + 1)
-    for i in range(1, n + 1):
-        v = seq.perm[i - 1]
-        t = placement_pile(tops, v)
-        blocker[i] = piles[t - 1][-1]
-        if t == len(piles):
+    k = 0
+    for i, v in enumerate(seq.perm, 1):
+        t = bisect_right(tops, v)
+        blocker[i] = top_index[t - 1]
+        pile_of[i] = t
+        if t > k:
+            k = t
             piles.append([i])
             tops.append(v)
+            top_index.append(i)
         else:
-            piles[t].append(i)
+            pile = piles[t]
+            depth_of[i] = len(pile)
+            pile.append(i)
             tops[t] = v
-        pile_of[i] = t
-        depth_of[i] = len(piles[t]) - 1
+            top_index[t] = i
     return PileSystem(
-        piles=tuple(tuple(p) for p in piles),
+        piles=tuple(map(tuple, piles)),
         pile_of=tuple(pile_of),
         depth_of=tuple(depth_of),
         blocker=tuple(blocker),

@@ -13,6 +13,7 @@ increasing subsequence length is `piles.build_piles(seq).k`.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -46,18 +47,27 @@ class Sequence:
 def normalize(raw: Iterable[int]) -> Sequence:
     """Build a Sequence, replacing each value by its rank in 1..n.
 
+    O(n) when the values already are a permutation of 1..n: n distinct
+    ints from 1 to n are their own ranks, so `perm` is `raw` itself.  The
+    test asks for type int exactly, since `(1, 1.5, 3)` and `(True, 2)`
+    pass the range test but must become `(1, 2, 3)` and `(1, 2)`.  Other
+    input costs O(n log n) for one sort of the distinct values.  A
+    repeated value raises DuplicateValue naming the smallest one.
+
     >>> normalize((7, 8, 5, 6)).perm
     (3, 4, 1, 2)
     >>> normalize((1, 2, 3)).perm
     (1, 2, 3)
     """
     raw = tuple(raw)
-    order = sorted(raw)
-    for a, b in zip(order, order[1:]):
-        if a == b:
-            raise DuplicateValue(a)
-    rank = {v: r for r, v in enumerate(order, start=1)}
-    return Sequence(raw=raw, perm=tuple(rank[v] for v in raw))
+    n = len(raw)
+    distinct = set(raw)
+    if len(distinct) != n:
+        raise DuplicateValue(min(v for v, c in Counter(raw).items() if c > 1))
+    if raw and min(raw) == 1 and max(raw) == n and set(map(type, raw)) == {int}:
+        return Sequence(raw=raw, perm=raw)
+    rank = dict(zip(sorted(distinct), range(1, n + 1)))
+    return Sequence(raw=raw, perm=tuple(map(rank.__getitem__, raw)))
 
 
 def precedes(seq: Sequence, i: int, j: int) -> bool:

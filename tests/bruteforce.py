@@ -1,11 +1,56 @@
 """Naive reference implementations the tests cross-check the package against.
 
 Everything here works straight off the raw value list, so it shares no
-code path with the package.  Exponential, except `lis_length`; keep n small.
+code path with the package.  Exponential, except `lis_length`,
+`rank_normalize` and `scan_int_tokens`; keep n small.
 """
 import itertools
 from bisect import bisect_left
 from collections import Counter, deque
+
+from lisrc.errors import DuplicateValue, ParseError
+
+
+def rank_normalize(raw):
+    """Ranks of the values in 1..n by one sort and a rank dict, as a tuple.
+
+    A repeated value raises DuplicateValue naming the smallest one.
+    """
+    order = sorted(raw)
+    for a, b in zip(order, order[1:]):
+        if a == b:
+            raise DuplicateValue(a)
+    rank = {v: r for r, v in enumerate(order, start=1)}
+    return tuple(rank[v] for v in raw)
+
+
+def scan_int_tokens(lineno, line, distinct=False):
+    """The integers of one instance line, read one character at a time.
+
+    A token is a maximal run of non-whitespace; it must be an optional
+    `-` and then ASCII digits.  The first bad token (or, with `distinct`,
+    the first repeat) raises ParseError at its 1-based column.
+    """
+    values, seen = [], set()
+    start = 0
+    while start < len(line):
+        if line[start].isspace():
+            start += 1
+            continue
+        end = start
+        while end < len(line) and not line[end].isspace():
+            end += 1
+        token = line[start:end]
+        digits = token[1:] if token.startswith("-") else token
+        if not digits or any(c not in "0123456789" for c in digits):
+            raise ParseError(lineno, start + 1, f"invalid integer {token!r}")
+        value = int(token)
+        if distinct and value in seen:
+            raise ParseError(lineno, start + 1, f"duplicate index {value}")
+        seen.add(value)
+        values.append(value)
+        start = end
+    return values
 
 
 def increasing(raw, indices):

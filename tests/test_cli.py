@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lisrc import (
     Bipartition,
@@ -15,9 +19,19 @@ from lisrc import (
     normalize,
     two_coloring,
 )
-from lisrc.cli import format_instance, generate, parse_instance, run
+from lisrc.cli import _int_tokens, format_instance, generate, parse_instance, run
+
+import bruteforce as bf
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+LISRC = (sys.executable, "-c", "from lisrc.cli import main; main()")
+# Block-buffered stdout, as for any user whose environment does not ask
+# for unbuffered output: the last write then happens at the final flush.
+LISRC_ENV = {
+    **{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    "PYTHONPATH": str(SRC),
+}
 K22_FILE = str(DATA / "k22.txt")
 DETOUR_FILE = str(DATA / "detour.txt")
 BIP_FILE = str(DATA / "bip.txt")
@@ -49,6 +63,49 @@ class TestParseInstance:
         with pytest.raises(ParseError) as info:
             parse_instance("7 8 x 6\n1 2\n3 4\n")
         assert (info.value.line, info.value.column) == (1, 5)
+
+    @pytest.mark.parametrize(
+        "text, where, token",
+        [
+            ("7 8 5 6\n1_0 2\n3 4\n", (2, 1), "1_0"),
+            ("7 8 5 6\n1 2\n3 +4\n", (3, 3), "+4"),
+            ("7 8 5 6\n2 \u0661\n3 4\n", (2, 3), "\u0661"),
+        ],
+    )
+    def test_strict_integer_tokens(self, text, where, token):
+        # int() alone would read these as 10, 4 and 1.
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert (info.value.line, info.value.column) == where
+        assert str(info.value).endswith(f"invalid integer {token!r}")
+
+    def test_non_ascii_whitespace_separates(self):
+        seq, i_set, j_set = parse_instance("7\xa08 5\u30006\n1 2\n3\xa04\n")
+        assert seq.raw == (7, 8, 5, 6) and (i_set, j_set) == ((1, 2), (3, 4))
+
+    @given(
+        st.one_of(
+            st.text("0123456789-+_ \t\xa0\u0661", max_size=20),
+            st.text("0123456789-+_ \t", max_size=20),
+            st.lists(
+                st.one_of(
+                    st.from_regex(r"-?[0-9]{1,3}", fullmatch=True),
+                    st.text("0123456789-+_\u0661", min_size=1, max_size=3),
+                )
+                | st.text(" \t\xa0", min_size=1, max_size=2),
+                max_size=12,
+            ).map("".join),
+        ),
+        st.booleans(),
+    )
+    def test_tokens_match_reference_scan(self, line, distinct):
+        def outcome(tokenize):
+            try:
+                return tokenize(3, line, distinct)
+            except ParseError as exc:
+                return str(exc), exc.line, exc.column
+
+        assert outcome(_int_tokens) == outcome(bf.scan_int_tokens)
 
     def test_missing_lines(self):
         with pytest.raises(ParseError):
@@ -246,6 +303,42 @@ class TestRun:
         bad.write_text("7 8 x\n1\n2\n")
         assert run(["decide", str(bad)]) == 2
         assert "line 1, column 5" in capsys.readouterr().err
+
+    def test_closed_stdout_is_quiet(self, tmp_path):
+        # `lisrc witness big.txt | head -1`: about 4.5 MB of walk, read one line.
+        n = 2000
+        values = [v for p in range(1, n, 2) for v in (p + 1, p)]
+        path = tmp_path / "pairs.txt"
+        path.write_text(
+            format_instance(normalize(values), range(1, n, 2), range(2, n + 1, 2))
+        )
+        proc = subprocess.Popen(
+            [*LISRC, "witness", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=LISRC_ENV,
+        )
+        assert proc.stdout.readline() == b"YES\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (2, b"")
+
+    def test_stdout_closed_before_start(self):
+        # A short answer into a pipe nobody reads fails at the final flush.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [*LISRC, "decide", K22_FILE],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=LISRC_ENV,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (2, b"")
 
     def test_missing_file(self, capsys):
         assert run(["decide", "no-such-file.txt"]) == 2

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lisrc import (
     DuplicateValue,
@@ -27,6 +27,46 @@ def perms(max_n=6):
     )
 
 
+@st.composite
+def disguised_perms(draw, max_n=8):
+    """Permutations of 1..n with a few values replaced by True (for 1), by
+    an equal float or by a float just below: all still pass a 1..n range
+    test, but are not permutations of int."""
+    raw = list(draw(perms(max_n)))
+    if raw:
+        for pos in draw(st.sets(st.integers(0, len(raw) - 1), max_size=3)):
+            v = raw[pos]
+            raw[pos] = True if v == 1 else v - draw(st.sampled_from((0.0, 0.5)))
+    return raw
+
+
+@st.composite
+def with_repeat(draw, values):
+    """A non-empty list from `values` with one of its members inserted again."""
+    raw = draw(values.filter(len))
+    raw.insert(draw(st.integers(0, len(raw))), draw(st.sampled_from(raw)))
+    return raw
+
+
+NORMALIZE_INPUTS = st.one_of(
+    st.lists(st.integers(-10**6, 10**6), unique=True, max_size=30),
+    perms(8),
+    st.tuples(perms(8), st.integers(-5, 5)).map(
+        lambda p: [v + p[1] for v in p[0]]
+    ),
+    disguised_perms(),
+    st.lists(
+        st.one_of(
+            st.integers(-5, 12),
+            st.floats(-5, 12, allow_nan=False),
+            st.just(True),
+        ),
+        unique=True,
+        max_size=12,
+    ),
+)
+
+
 class TestNormalize:
     def test_already_sorted(self):
         assert normalize((1, 2, 3)).perm == (1, 2, 3)
@@ -45,6 +85,36 @@ class TestNormalize:
     def test_empty(self):
         seq = normalize(())
         assert seq.n == 0 and seq.perm == ()
+
+    def test_permutation_is_its_own_rank(self):
+        seq = normalize([3, 1, 2])
+        assert seq.perm == (3, 1, 2) and seq.perm is seq.raw
+
+    @given(NORMALIZE_INPUTS)
+    @example((1, 1.5, 3))
+    @example((True, 2))
+    @example((1, 2, 3.0))
+    def test_matches_rank_reference(self, raw):
+        perm = normalize(raw).perm
+        assert perm == bf.rank_normalize(raw)
+        assert all(type(v) is int for v in perm)
+
+    @given(
+        st.one_of(
+            with_repeat(st.lists(st.integers(1, 6), max_size=6)),
+            with_repeat(st.permutations(range(1, 7))),
+            with_repeat(st.lists(st.integers(-30, 30), max_size=12)),
+        )
+    )
+    @example([1, 3, 3])
+    @example([5, 9, 5, 7])
+    def test_duplicate_names_smallest_repeat(self, raw):
+        with pytest.raises(DuplicateValue) as got:
+            normalize(raw)
+        with pytest.raises(DuplicateValue) as want:
+            bf.rank_normalize(raw)
+        smallest = min(v for v in raw if raw.count(v) > 1)
+        assert got.value.value == want.value.value == smallest
 
     @given(st.lists(st.integers(-1000, 1000), unique=True, max_size=20))
     def test_order_isomorphic(self, raw):
