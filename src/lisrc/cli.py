@@ -22,7 +22,8 @@ import os
 import random
 import re
 import sys
-from typing import Iterable
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from . import bipartite as bp
 from . import oracle as orc
@@ -37,6 +38,9 @@ from .reconfig import minimal_set  # noqa: F401
 
 ORACLE_BOUND_ENV = "LISRC_ORACLE_BOUND"
 GEN_MAX_ATTEMPTS = 10000
+# Text lines per write.  A walk line holds a whole set, so one batch is
+# O(k) text, far below the O(k) per step of a long walk's whole output.
+EMIT_BATCH_LINES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +201,33 @@ def _fmt_set(s: Iterable[int]) -> str:
     return "{" + ",".join(str(i) for i in s) + "}"
 
 
-def _render_walk(rs: ReconfSequence) -> list[str]:
-    lines = [f"length {len(rs)}", _fmt_set(rs.start)]
-    sets = list(rs.sets())
-    for step, cur in zip(rs.steps, sets[1:]):
-        lines.append(f"swap {step.remove} -> {step.add}: {_fmt_set(cur)}")
-    return lines
+def _labels(rs: ReconfSequence) -> dict[int, str]:
+    """Each index that occurs along the walk, formatted once."""
+    label = {i: str(i) for i in rs.start}
+    for step in rs.steps:
+        if step.add not in label:
+            label[step.add] = str(step.add)
+    return label
+
+
+def _set_texts(rs: ReconfSequence, label: dict[int, str]) -> Iterator[str]:
+    """Every set along the walk as `{i,j,...}`, through the one replay."""
+    for cur in rs.sets():
+        yield "{" + ",".join(map(label.__getitem__, cur)) + "}"
+
+
+def _render_walk(rs: ReconfSequence) -> Iterator[str]:
+    """The text walk line by line: length, start set, one line per swap.
+
+    Lazy, so the JSON path never replays the walk and the text path
+    holds one set at a time; each line costs O(k), the size of its text.
+    """
+    label = _labels(rs)
+    texts = _set_texts(rs, label)
+    yield f"length {len(rs)}"
+    yield next(texts)
+    for text, step in zip(texts, rs.steps):
+        yield f"swap {label[step.remove]} -> {label[step.add]}: {text}"
 
 
 def _steps_json(rs: ReconfSequence) -> list[dict]:
@@ -233,22 +258,21 @@ def dot_reconfig_graph(graph: orc.ReconfGraph) -> str:
 # Subcommands
 
 
-def _emit(
-    args, payload: dict, text_lines: list[str], walk: ReconfSequence | None = None
-) -> None:
-    """Print the payload as JSON, or the text lines followed by the walk.
+def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
+    """Print the payload as JSON, or the text lines.
 
-    The walk is rendered on the text path only: --json prints its steps
-    from the payload and never needs the intermediate sets.
+    The text lines are written in batches of EMIT_BATCH_LINES as they are
+    produced, so a lazy walk (`_render_walk`) never sits in memory whole;
+    on the JSON path they are never produced.
     """
     if args.json:
         print(json.dumps(payload))
         return
-    for line in text_lines:
-        print(line)
-    if walk is not None:
-        for line in _render_walk(walk):
-            print(line)
+    write = sys.stdout.write
+    lines = iter(text_lines)
+    while batch := list(islice(lines, EMIT_BATCH_LINES)):
+        batch.append("")
+        write("\n".join(batch))
 
 
 def _yesno_status(args, yes: bool) -> int:
@@ -272,11 +296,13 @@ def _cmd_reconfigure(args) -> int:
         "minimal_I": list(answer.minimal_i),
         "minimal_J": list(answer.minimal_j),
     }
+    lines: Iterable[str] = ["YES" if yes else "NO"]
     walk = answer.walk if args.command == "witness" else None
     if walk is not None:
         payload["steps"] = _steps_json(walk)
         payload["length"] = len(walk)
-    _emit(args, payload, ["YES" if yes else "NO"], walk)
+        lines = chain(lines, _render_walk(walk))
+    _emit(args, payload, lines)
     return _yesno_status(args, yes)
 
 
@@ -308,7 +334,7 @@ def _cmd_shortest(args) -> int:
         )
         return _yesno_status(args, False)
     payload = {"answer": "yes", "steps": _steps_json(result), "length": len(result)}
-    _emit(args, payload, ["YES"], result)
+    _emit(args, payload, chain(["YES"], _render_walk(result)))
     return _yesno_status(args, True)
 
 
@@ -360,7 +386,7 @@ def _cmd_oracle(args) -> int:
         _emit(
             args,
             {"answer": "yes", "length": length, "steps": _steps_json(rs)},
-            [str(length)] + [_fmt_set(s) for s in rs.sets()],
+            chain([str(length)], _set_texts(rs, _labels(rs))),
         )
         return _yesno_status(args, True)
     yes = orc.oracle_decide(seq, i_set, j_set, maximum_only, bound)

@@ -19,7 +19,7 @@ two sets of one query), both built on `seqcore.require_feasible`.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
@@ -55,17 +55,44 @@ class ReconfSequence:
         return len(self.steps)
 
     def sets(self) -> Iterator[FeasibleSet]:
-        """Yield every set along the sequence, the start included."""
-        cur = self.start
-        yield cur
+        """Yield every set along the sequence, the start included.
+
+        One sorted list is kept and edited in place: each step finds
+        `remove` and the slot of `add` by binary search, then deletes and
+        inserts, O(k) per step, so the whole replay costs what printing
+        its sets costs.  `add` may land in another slot than `remove`
+        left, as in walks between non-maximum sets.  A step that does
+        not apply raises the ValueError of `apply_step`, after the sets
+        before it were yielded.
+
+        >>> walk = ReconfSequence(start=(1, 3, 5), steps=(
+        ...     SwapStep(remove=1, add=2), SwapStep(remove=3, add=4),
+        ...     SwapStep(remove=5, add=7), SwapStep(remove=4, add=6)))
+        >>> for s in walk.sets():
+        ...     print(s)
+        (1, 3, 5)
+        (2, 3, 5)
+        (2, 4, 5)
+        (2, 4, 7)
+        (2, 6, 7)
+        """
+        yield self.start
+        cur = sorted(self.start)
+        size = len(cur)
         for step in self.steps:
-            cur = apply_step(cur, step)
-            yield cur
+            remove, add = step.remove, step.add
+            i = bisect_left(cur, remove)
+            j = bisect_left(cur, add)
+            if i == size or cur[i] != remove or (j < size and cur[j] == add):
+                raise ValueError(f"step {step} does not apply to {tuple(cur)}")
+            del cur[i]
+            cur.insert(j - 1 if j > i else j, add)
+            yield tuple(cur)
 
     def end(self) -> FeasibleSet:
-        cur = self.start
-        for step in self.steps:
-            cur = apply_step(cur, step)
+        """The last set of the sequence, by the replay of `sets`."""
+        for cur in self.sets():
+            pass
         return cur
 
 
@@ -127,34 +154,34 @@ def _per_pile(ps: PileSystem, members: FeasibleSet) -> list[int]:
     return chosen
 
 
-def _deepest_target(
-    seq: Sequence,
+def _lowest_depth(
+    perm: tuple[int, ...],
     pile_idx: tuple[int, ...],
-    lo_index: int,
-    hi_value: int | None,
+    left_index: int,
+    right_value: int,
+    d: int,
 ) -> int:
-    """Smallest depth in a pile compatible with both pile neighbors.
+    """Lowest depth below `d` that the member at depth `d` can move to, else `d`.
 
-    Pile entries have increasing index and decreasing value toward the
-    top, so each neighbor constraint cuts a contiguous depth range and
-    their intersection is an interval.  Only the interval's lower end is
-    needed: anything at or below the current element's depth already
-    satisfies the remaining two constraints.
+    The move must keep the set increasing: the new entry must come after
+    `left_index`, the member of the pile to the left, and its value must be
+    below `right_value`, the value of the member of the pile to the right
+    (n + 1 for the last pile).  Pile entries increase in index and decrease
+    in value with depth, so each constraint admits a suffix of depths: the
+    index constraint the depths from `bisect_right(pile_idx, left_index)`
+    on, the value constraint those from the first depth whose value is
+    below `right_value` on.  Their intersection is a suffix too, starting at
+    the larger of the two.  Any depth from `d` up already meets both, the
+    current member among them, so only depths in [0, d) can be targets:
+    the index search is bounded to [0, d), and the value search to the
+    depths between its result and `d`.  The answer is the suffix's first
+    depth when that is below `d`, and `d` (no move) exactly when it is not.
     """
-    lo = bisect_right(pile_idx, lo_index)
-    if hi_value is not None:
-        # First depth whose value drops below the right neighbor's value.
-        lo_v = _first_below(seq, pile_idx, hi_value)
-        lo = max(lo, lo_v)
-    return lo
-
-
-def _first_below(seq: Sequence, pile_idx: tuple[int, ...], bound: int) -> int:
-    """First depth whose value is < bound (values decrease with depth)."""
-    lo, hi = 0, len(pile_idx)
+    lo = bisect_right(pile_idx, left_index, 0, d)
+    hi = d
     while lo < hi:
         mid = (lo + hi) // 2
-        if seq.value(pile_idx[mid]) < bound:
+        if perm[pile_idx[mid] - 1] < right_value:
             hi = mid
         else:
             lo = mid + 1
@@ -171,15 +198,16 @@ def downward_moves(
     """
     members = require_maximum(seq, ps, s)
     chosen = _per_pile(ps, members)
+    perm, k = seq.perm, ps.k
     moves: list[SwapStep] = []
-    for t in range(1, ps.k + 1):
+    for t in range(1, k + 1):
         v = chosen[t]
         d = ps.depth_of[v]
         if d == 0:
             continue
         pile_idx = ps.piles[t]
-        hi_value = seq.value(chosen[t + 1]) if t < ps.k else None
-        lo = _deepest_target(seq, pile_idx, chosen[t - 1], hi_value)
+        right_value = perm[chosen[t + 1] - 1] if t < k else seq.n + 1
+        lo = _lowest_depth(perm, pile_idx, chosen[t - 1], right_value, d)
         for depth in range(lo, d):
             moves.append(SwapStep(remove=v, add=pile_idx[depth]))
     return moves
@@ -192,32 +220,36 @@ def minimal_set(
 
     Returns the fixed point and the executed trace.  Equivalent to
     repeatedly applying the first entry of `downward_moves`, but a pile
-    is only re-examined after one of its neighbors changes, so the whole
-    descent costs O((n + moves) log n).
+    is only re-examined after one of its neighbors changes, and each
+    examination searches only the depths below the member's own
+    (`_lowest_depth`), reading `seq.perm` directly, so the whole descent
+    costs O((k + moves) log n).
     """
     members = require_maximum(seq, ps, s)
     chosen = _per_pile(ps, members)
+    perm, piles, depth_of, k = seq.perm, ps.piles, ps.depth_of, ps.k
+    last_value = seq.n + 1
     trace: list[SwapStep] = []
     # Piles of size 1 can never move; seed the worklist with the rest.
-    heap = [t for t in range(1, ps.k + 1) if len(ps.piles[t]) > 1]
+    heap = [t for t in range(1, k + 1) if len(piles[t]) > 1]
     heapify(heap)
     while heap:
         t = heappop(heap)
         v = chosen[t]
-        d = ps.depth_of[v]
+        d = depth_of[v]
         if d == 0:
             continue
-        pile_idx = ps.piles[t]
-        hi_value = seq.value(chosen[t + 1]) if t < ps.k else None
-        lo = _deepest_target(seq, pile_idx, chosen[t - 1], hi_value)
+        pile_idx = piles[t]
+        right_value = perm[chosen[t + 1] - 1] if t < k else last_value
+        lo = _lowest_depth(perm, pile_idx, chosen[t - 1], right_value, d)
         if lo < d:
             u = pile_idx[lo]
             trace.append(SwapStep(remove=v, add=u))
             chosen[t] = u
             # Only the two pile neighbors gain new room to move.
-            if t > 1 and len(ps.piles[t - 1]) > 1:
+            if t > 1 and len(piles[t - 1]) > 1:
                 heappush(heap, t - 1)
-            if t < ps.k and len(ps.piles[t + 1]) > 1:
+            if t < k and len(piles[t + 1]) > 1:
                 heappush(heap, t + 1)
     return tuple(sorted(chosen[1:])), trace
 

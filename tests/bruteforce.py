@@ -1,8 +1,9 @@
 """Naive reference implementations the tests cross-check the package against.
 
-Everything here works straight off the raw value list, so it shares no
-code path with the package.  Exponential, except `lis_length`,
-`rank_normalize` and `scan_int_tokens`; keep n small.
+Everything here works straight off the raw value list, or straight off
+the fields of a walk, so it shares no code path with the package.
+Exponential, except `lis_length`, `rank_normalize`, `scan_int_tokens`,
+`replay_sets`, `render_walk` and the staircase builders; keep n small.
 """
 import itertools
 from bisect import bisect_left
@@ -214,3 +215,61 @@ def random_perm(rng, n):
     values = list(range(1, n + 1))
     rng.shuffle(values)
     return tuple(values)
+
+
+def replay_sets(rs):
+    """Every set along a walk, one set difference and one sort per step.
+
+    A generator, like `ReconfSequence.sets`: a step that does not apply
+    raises ValueError after the sets before it were yielded.
+    """
+    cur = rs.start
+    yield cur
+    for step in rs.steps:
+        if step.remove not in cur or step.add in cur:
+            raise ValueError(f"step {step} does not apply to {cur}")
+        cur = tuple(sorted(set(cur) - {step.remove} | {step.add}))
+        yield cur
+
+
+def fmt_set(s):
+    return "{" + ",".join(str(i) for i in s) + "}"
+
+
+def render_walk(rs):
+    """The text walk as a list of lines: length, start set, one line per swap."""
+    lines = [f"length {len(rs)}", fmt_set(rs.start)]
+    sets = list(replay_sets(rs))
+    for step, cur in zip(rs.steps, sets[1:]):
+        lines.append(f"swap {step.remove} -> {step.add}: {fmt_set(cur)}")
+    return lines
+
+
+def staircase(k, height, reach=1):
+    """Values of a staircase of k piles, each `height` tall, and its grid.
+
+    Element (t, d) lands in pile t at depth d.  With w = 2 * reach + 1,
+    positions follow (2d + w t, t) and values (w t - 2d, t), so (t, a)
+    precedes (t + 1, b) exactly when |a - b| <= reach.  grid[t - 1][d] is
+    the 1-based position of (t, d).
+    """
+    w = 2 * reach + 1
+    cells = [(t, d) for t in range(1, k + 1) for d in range(height)]
+    by_pos = sorted(cells, key=lambda c: (2 * c[1] + w * c[0], c[0]))
+    by_val = sorted(cells, key=lambda c: (w * c[0] - 2 * c[1], c[0]))
+    rank = {c: r for r, c in enumerate(by_val, start=1)}
+    grid = [[0] * height for _ in range(k)]
+    for p, c in enumerate(by_pos, start=1):
+        grid[c[0] - 1][c[1]] = p
+    return tuple(rank[c] for c in by_pos), grid
+
+
+def staircase_set(grid, reach, rng):
+    """A random maximum set of a staircase: depths that step by at most reach."""
+    height = len(grid[0])
+    depth = rng.randrange(height)
+    members = []
+    for row in grid:
+        members.append(row[depth])
+        depth = min(height - 1, max(0, depth + rng.randint(-reach, reach)))
+    return tuple(sorted(members))

@@ -1,7 +1,10 @@
+import contextlib
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,10 @@ from lisrc import (
     build_graph,
     is_maximum_feasible,
     normalize,
+    oracle_shortest,
+    shortest_sequence,
     two_coloring,
+    witness,
 )
 from lisrc.cli import _int_tokens, format_instance, generate, parse_instance, run
 
@@ -398,3 +404,96 @@ class TestRun:
             assert run(["oracle", "--json", str(path)]) == 0
             slow = json.loads(capsys.readouterr().out)["answer"]
             assert fast == slow
+
+
+def write_pairs(path, n):
+    """The bipartite `2 1 4 3 ...` instance, I the odd and J the even positions."""
+    values = [v for p in range(1, n, 2) for v in (p + 1, p)]
+    path.write_text(
+        format_instance(normalize(values), range(1, n, 2), range(2, n + 1, 2))
+    )
+    return path
+
+
+class CountingSink:
+    """A stdout that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestWalkText:
+    """The streamed text walks against the reference renderer."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        raw, grid = bf.staircase(5, 12, 2)
+        rng = random.Random(5)
+        stairs = tmp_path / "stairs.txt"
+        stairs.write_text(
+            format_instance(
+                normalize(raw),
+                bf.staircase_set(grid, 2, rng),
+                bf.staircase_set(grid, 2, rng),
+            )
+        )
+        general = tmp_path / "general.txt"
+        general.write_text("15 11 16 13 17 12 14\n1 3\n6 7\n")
+        return {
+            "detour": DETOUR_FILE,
+            "bip": BIP_FILE,
+            "stairs": str(stairs),
+            "pairs": str(write_pairs(tmp_path / "pairs.txt", 40)),
+            "general": str(general),
+        }
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("witness", "detour"),
+            ("witness", "bip"),
+            ("witness", "stairs"),
+            ("witness", "pairs"),
+            ("shortest", "bip"),
+            ("shortest", "pairs"),
+        ],
+    )
+    def test_walk_matches_reference(self, capsys, files, command, name):
+        seq, i_set, j_set = parse_instance(Path(files[name]).read_text())
+        solve = witness if command == "witness" else shortest_sequence
+        expected = ["YES", *bf.render_walk(solve(seq, i_set, j_set))]
+        assert run([command, files[name]]) == 0
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [([], "detour"), ([], "bip"), (["--general"], "general")],
+    )
+    def test_oracle_walk_matches_reference(self, capsys, files, flags, name):
+        seq, i_set, j_set = parse_instance(Path(files[name]).read_text())
+        length, rs = oracle_shortest(seq, i_set, j_set, maximum_only=not flags)
+        expected = [str(length), *map(bf.fmt_set, bf.replay_sets(rs))]
+        assert run(["oracle", "--shortest", *flags, files[name]]) == 0
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+    def test_text_walk_is_streamed(self, tmp_path):
+        # The witness of `2 1 4 3 ...` at n = 4000 is about 19 MB of text;
+        # written as it is produced, it never sits in memory whole.
+        path = write_pairs(tmp_path / "pairs.txt", 4000)
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert run(["witness", str(path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 18_000_000
+        assert peak < sink.size / 5, (peak, sink.size)

@@ -1,11 +1,12 @@
 import doctest
 
 import lisrc.piles
+import lisrc.reconfig
 import lisrc.seqcore
 
 
 def test_module_doctests():
-    for module in (lisrc.seqcore, lisrc.piles):
+    for module in (lisrc.seqcore, lisrc.piles, lisrc.reconfig):
         result = doctest.testmod(module)
         assert result.failed == 0, module.__name__
         assert result.attempted > 0, module.__name__

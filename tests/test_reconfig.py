@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lisrc import (
     Infeasible,
@@ -16,6 +17,7 @@ from lisrc import (
     is_maximum_feasible,
     minimal_set,
     normalize,
+    oracle_shortest,
     witness,
 )
 
@@ -178,6 +180,25 @@ class TestMinimalSet:
                 cur = apply_step(cur, rng.choice(moves))
             assert cur == minimal_set(seq, ps, s)[0]
 
+    @pytest.mark.parametrize("reach", [1, 2, 5])
+    def test_matches_reference_on_tall_piles(self, reach):
+        # Random sets reach n <= 10 only, where piles are a few entries
+        # tall; here the bounded searches run over 40 depths.
+        raw, grid = bf.staircase(6, 40, reach)
+        seq = normalize(raw)
+        ps = build_piles(seq)
+        assert [len(p) for p in ps.piles[1:]] == [40] * 6
+        rng = random.Random(reach)
+        for _ in range(15):
+            s = bf.staircase_set(grid, reach, rng)
+            moves = downward_moves(seq, ps, s)
+            assert {(m.remove, m.add) for m in moves} == naive_downward_moves(
+                seq, ps, s
+            )
+            m, trace = minimal_set(seq, ps, s)
+            assert (m, trace) == naive_descent(seq, ps, s)
+            assert m == tuple(row[0] for row in grid)
+
 
 class TestDecide:
     def test_k22_no_instance(self):
@@ -267,3 +288,120 @@ class TestApplyStep:
         )
         assert list(rs.sets()) == [(1, 3, 5), (2, 3, 5), (2, 4, 5)]
         assert rs.end() == (2, 4, 5)
+
+
+def replay_outcome(sets):
+    """The sets an iterator yields, and the message of its ValueError, if any."""
+    got = []
+    try:
+        for s in sets:
+            got.append(s)
+    except ValueError as exc:
+        return got, str(exc)
+    return got, None
+
+
+def check_replay(rs):
+    expected = replay_outcome(bf.replay_sets(rs))
+    assert replay_outcome(rs.sets()) == expected
+    sets, error = expected
+    if error is None:
+        assert rs.end() == sets[-1]
+    else:
+        with pytest.raises(ValueError) as exc:
+            rs.end()
+        assert str(exc.value) == error
+
+
+SMALL_PERMS = st.integers(1, 8).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(tuple)
+)
+
+
+@st.composite
+def random_walks(draw, universe=12):
+    """Walks over 1..universe whose steps mostly apply; some are arbitrary."""
+    start = draw(st.sets(st.integers(1, universe), max_size=6))
+    cur = set(start)
+    steps = []
+    for _ in range(draw(st.integers(0, 10))):
+        outside = sorted(set(range(1, universe + 1)) - cur)
+        if cur and outside and draw(st.integers(0, 7)):
+            remove = draw(st.sampled_from(sorted(cur)))
+            add = draw(st.sampled_from(outside))
+            cur = cur - {remove} | {add}
+        else:
+            remove = draw(st.integers(1, universe))
+            add = draw(st.integers(1, universe))
+        steps.append(SwapStep(remove=remove, add=add))
+    return ReconfSequence(start=tuple(sorted(start)), steps=tuple(steps))
+
+
+@st.composite
+def corrupted(draw, rs):
+    """The walk, or the walk with one step swapped for an arbitrary one."""
+    if not rs.steps or draw(st.booleans()):
+        return rs
+    steps = list(rs.steps)
+    at = draw(st.integers(0, len(steps) - 1))
+    bound = max(max(rs.start, default=1), max(s.add for s in steps))
+    steps[at] = SwapStep(
+        remove=draw(st.integers(1, bound)), add=draw(st.integers(1, bound))
+    )
+    return ReconfSequence(start=rs.start, steps=tuple(steps))
+
+
+# What these check is the outcome, not the time an example takes.
+UNTIMED = settings(deadline=None)
+
+
+class TestReplay:
+    """`ReconfSequence.sets` and `end` against the set-difference replay."""
+
+    @UNTIMED
+    @given(random_walks())
+    def test_random_walks(self, rs):
+        check_replay(rs)
+
+    @UNTIMED
+    @given(st.data())
+    def test_witness_walks(self, data):
+        raw = data.draw(SMALL_PERMS)
+        maxima = st.sampled_from(bf.max_feasible_sets(raw))
+        i_set, j_set = data.draw(maxima), data.draw(maxima)
+        rs = witness(normalize(raw), i_set, j_set)
+        if rs is not None:
+            check_replay(rs)
+            check_replay(data.draw(corrupted(rs)))
+
+    @UNTIMED
+    @given(st.data())
+    def test_general_oracle_walks(self, data):
+        # Between non-maximum sets `add` may land in another slot than the
+        # one `remove` left.
+        raw = data.draw(SMALL_PERMS)
+        size = data.draw(st.integers(1, bf.lis_len(raw)))
+        sets = st.sampled_from(bf.feasible_sets(raw, size))
+        i_set, j_set = data.draw(sets), data.draw(sets)
+        found = oracle_shortest(normalize(raw), i_set, j_set, maximum_only=False)
+        if found is not None:
+            check_replay(found[1])
+            check_replay(data.draw(corrupted(found[1])))
+
+    def test_add_changes_slot(self):
+        rs = ReconfSequence(
+            start=(1, 3, 5),
+            steps=(SwapStep(remove=1, add=4), SwapStep(remove=5, add=2)),
+        )
+        assert list(rs.sets()) == [(1, 3, 5), (3, 4, 5), (2, 3, 4)]
+        assert rs.end() == (2, 3, 4)
+
+    def test_step_that_does_not_apply(self):
+        rs = ReconfSequence(
+            start=(1, 3),
+            steps=(SwapStep(remove=1, add=2), SwapStep(remove=3, add=2)),
+        )
+        sets = rs.sets()
+        assert next(sets) == (1, 3) and next(sets) == (2, 3)
+        with pytest.raises(ValueError, match=r"does not apply to \(2, 3\)"):
+            next(sets)
