@@ -17,6 +17,7 @@ yes/no subcommands instead report YES as 0 and NO as 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -231,6 +232,7 @@ def _render_walk(rs: ReconfSequence) -> Iterator[str]:
 
 
 def _steps_json(rs: ReconfSequence) -> list[dict]:
+    """The walk's steps for `--json`; built only on that path."""
     return [{"remove": s.remove, "add": s.add} for s in rs.steps]
 
 
@@ -299,8 +301,9 @@ def _cmd_reconfigure(args) -> int:
     lines: Iterable[str] = ["YES" if yes else "NO"]
     walk = answer.walk if args.command == "witness" else None
     if walk is not None:
-        payload["steps"] = _steps_json(walk)
-        payload["length"] = len(walk)
+        if args.json:
+            payload["steps"] = _steps_json(walk)
+            payload["length"] = len(walk)
         lines = chain(lines, _render_walk(walk))
     _emit(args, payload, lines)
     return _yesno_status(args, yes)
@@ -333,7 +336,9 @@ def _cmd_shortest(args) -> int:
             ],
         )
         return _yesno_status(args, False)
-    payload = {"answer": "yes", "steps": _steps_json(result), "length": len(result)}
+    payload: dict = {"answer": "yes"}
+    if args.json:
+        payload.update(steps=_steps_json(result), length=len(result))
     _emit(args, payload, chain(["YES"], _render_walk(result)))
     return _yesno_status(args, True)
 
@@ -383,11 +388,10 @@ def _cmd_oracle(args) -> int:
             _emit(args, {"answer": "no"}, ["NO"])
             return _yesno_status(args, False)
         length, rs = found
-        _emit(
-            args,
-            {"answer": "yes", "length": length, "steps": _steps_json(rs)},
-            chain([str(length)], _set_texts(rs, _labels(rs))),
-        )
+        payload = {"answer": "yes", "length": length}
+        if args.json:
+            payload["steps"] = _steps_json(rs)
+        _emit(args, payload, chain([str(length)], _set_texts(rs, _labels(rs))))
         return _yesno_status(args, True)
     yes = orc.oracle_decide(seq, i_set, j_set, maximum_only, bound)
     _emit(args, {"answer": "yes" if yes else "no"}, ["YES" if yes else "NO"])
@@ -466,7 +470,15 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call and then reused.
+
+    Building it costs more than a small request (argparse formats and
+    translates the help of every subcommand), so in-process callers of
+    `run` pay for it once.  Parsing leaves it unchanged; each call gets a
+    fresh namespace.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument(

@@ -103,18 +103,22 @@ def apply_step(s: FeasibleSet, step: SwapStep) -> FeasibleSet:
     return tuple(sorted(set(s) - {step.remove} | {step.add}))
 
 
+def _require_size(ps: PileSystem, members: FeasibleSet) -> FeasibleSet:
+    """Raise NotMaximum unless the feasible set `members` has size `ps.k`."""
+    if len(members) != ps.k:
+        raise NotMaximum(
+            f"{members} has size {len(members)}, maximum feasible size is {ps.k}"
+        )
+    return members
+
+
 def require_maximum(seq: Sequence, ps: PileSystem, s: Iterable[int]) -> FeasibleSet:
     """Validate a maximum feasible set: `require_feasible`, then size k.
 
     Raises NotMaximum for a feasible set smaller than `ps.k`; returns the
     sorted tuple.
     """
-    members = require_feasible(seq, s)
-    if len(members) != ps.k:
-        raise NotMaximum(
-            f"{members} has size {len(members)}, maximum feasible size is {ps.k}"
-        )
-    return members
+    return _require_size(ps, require_feasible(seq, s))
 
 
 def require_pair(
@@ -123,15 +127,16 @@ def require_pair(
     """Validate the two sets of one query, in a fixed order.
 
     Both must be feasible (IndexOutOfRange, Infeasible), of equal size
-    (SizeMismatch), and, unless `ps` is None, maximum (NotMaximum).
+    (SizeMismatch), and, unless `ps` is None, maximum (NotMaximum).  Each
+    set goes through `require_feasible` once.
     """
     members_i = require_feasible(seq, i_set)
     members_j = require_feasible(seq, j_set)
     if len(members_i) != len(members_j):
         raise SizeMismatch(len(members_i), len(members_j))
     if ps is not None:
-        require_maximum(seq, ps, members_i)
-        require_maximum(seq, ps, members_j)
+        _require_size(ps, members_i)
+        _require_size(ps, members_j)
     return members_i, members_j
 
 
@@ -145,12 +150,23 @@ def is_maximum_feasible(seq: Sequence, s: Iterable[int]) -> bool:
 
 
 def _per_pile(ps: PileSystem, members: FeasibleSet) -> list[int]:
-    """Map pile id -> the member element in that pile (slot 0: sentinel)."""
-    chosen = [0] * (ps.k + 1)
-    for i in members:
-        t = ps.pile_of[i]
-        assert chosen[t] == 0, "maximum feasible set must hit each pile once"
-        chosen[t] = i
+    """Map pile id -> the member element in that pile (slot 0: sentinel).
+
+    `members` is a sorted maximum feasible set, and its t-th member lies
+    on pile t.  Proof sketch: an element's pile id is the length of the
+    longest increasing run of positions ending at it (the sentinel not
+    counted), so along an increasing sequence pile ids strictly increase;
+    a set of size k meets k distinct piles among 1..k, in member order.
+    The assertion confirms each member by one binary search in its pile
+    (piles are sorted by index), O(k log n) in all, without the
+    per-element pile ids.
+    """
+    chosen = [0, *members]
+    message = "maximum feasible set must hit each pile once"
+    assert len(chosen) == len(ps.piles), message
+    for pile, i in zip(ps.piles, chosen):
+        d = bisect_left(pile, i)
+        assert d < len(pile) and pile[d] == i, message
     return chosen
 
 
@@ -202,10 +218,10 @@ def downward_moves(
     moves: list[SwapStep] = []
     for t in range(1, k + 1):
         v = chosen[t]
-        d = ps.depth_of[v]
+        pile_idx = ps.piles[t]
+        d = bisect_left(pile_idx, v)
         if d == 0:
             continue
-        pile_idx = ps.piles[t]
         right_value = perm[chosen[t + 1] - 1] if t < k else seq.n + 1
         lo = _lowest_depth(perm, pile_idx, chosen[t - 1], right_value, d)
         for depth in range(lo, d):
@@ -223,11 +239,13 @@ def minimal_set(
     is only re-examined after one of its neighbors changes, and each
     examination searches only the depths below the member's own
     (`_lowest_depth`), reading `seq.perm` directly, so the whole descent
-    costs O((k + moves) log n).
+    costs O((k + moves) log n).  Each member's depth is found once by
+    binary search in its pile and then tracked per pile.
     """
     members = require_maximum(seq, ps, s)
     chosen = _per_pile(ps, members)
-    perm, piles, depth_of, k = seq.perm, ps.piles, ps.depth_of, ps.k
+    perm, piles, k = seq.perm, ps.piles, ps.k
+    depth = [bisect_left(pile, i) for pile, i in zip(piles, chosen)]
     last_value = seq.n + 1
     trace: list[SwapStep] = []
     # Piles of size 1 can never move; seed the worklist with the rest.
@@ -235,8 +253,7 @@ def minimal_set(
     heapify(heap)
     while heap:
         t = heappop(heap)
-        v = chosen[t]
-        d = depth_of[v]
+        d = depth[t]
         if d == 0:
             continue
         pile_idx = piles[t]
@@ -244,8 +261,9 @@ def minimal_set(
         lo = _lowest_depth(perm, pile_idx, chosen[t - 1], right_value, d)
         if lo < d:
             u = pile_idx[lo]
-            trace.append(SwapStep(remove=v, add=u))
+            trace.append(SwapStep(remove=chosen[t], add=u))
             chosen[t] = u
+            depth[t] = lo
             # Only the two pile neighbors gain new room to move.
             if t > 1 and len(piles[t - 1]) > 1:
                 heappush(heap, t - 1)

@@ -7,9 +7,10 @@ Index 0 is reserved for the sentinel element of value 0 that the pile
 construction prepends; it never appears in user-facing sets.
 
 `require_feasible` is the only validation of a caller's index set; every
-entry point of the package runs it (directly or through
-`reconfig.require_maximum`) before touching the set.  The longest
-increasing subsequence length is `piles.build_piles(seq).k`.
+entry point of the package runs it once per set it is given (directly,
+or through `reconfig.require_maximum` or `reconfig.require_pair`) before
+touching the set.  The longest increasing subsequence length is
+`piles.build_piles(seq).k`.
 """
 from __future__ import annotations
 
@@ -97,14 +98,15 @@ def require_feasible(seq: Sequence, s: Iterable[int]) -> FeasibleSet:
     (3, 4)
     """
     items = list(s)
+    perm = seq.perm
+    n = len(perm)
     for i in items:
         if type(i) is not int:
-            raise IndexOutOfRange(i, seq.n)
+            raise IndexOutOfRange(i, n)
     members = tuple(sorted(set(items)))
     for i in members:
-        if not 1 <= i <= seq.n:
-            raise IndexOutOfRange(i, seq.n)
-    perm = seq.perm
+        if not 1 <= i <= n:
+            raise IndexOutOfRange(i, n)
     for i, j in zip(members, members[1:]):
         if perm[i - 1] > perm[j - 1]:
             raise Infeasible(i, j, seq.raw[i - 1], seq.raw[j - 1])

@@ -2,14 +2,22 @@
 
 Everything here works straight off the raw value list, or straight off
 the fields of a walk, so it shares no code path with the package.
-Exponential, except `lis_length`, `rank_normalize`, `scan_int_tokens`,
-`replay_sets`, `render_walk` and the staircase builders; keep n small.
+Exponential, except `lis_length`, `deal_reference`, `rank_normalize`,
+`scan_int_tokens`, `require_pair`, `replay_sets`, `render_walk` and the
+staircase builders; keep n small.
 """
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 
-from lisrc.errors import DuplicateValue, ParseError
+from lisrc.errors import (
+    DuplicateValue,
+    IndexOutOfRange,
+    Infeasible,
+    NotMaximum,
+    ParseError,
+    SizeMismatch,
+)
 
 
 def rank_normalize(raw):
@@ -93,6 +101,83 @@ def lis_length(raw):
         else:
             tails[pos] = v
     return len(tails)
+
+
+def deal_reference(raw):
+    """Patience piles dealt with every element's coordinates recorded.
+
+    Returns (pile_of, depth_of, blocker), indexed by 1-based position with
+    slot 0 for the sentinel (pile 0, depth 0, no blocker: -1).  Works on
+    the raw values: the sentinel's top is below every value.  Each element
+    lands on the leftmost pile whose top exceeds it; its depth is that
+    pile's height before it lands, and its blocker the top of the pile to
+    the left at that moment.
+    """
+    n = len(raw)
+    tops = [float("-inf")]
+    top_index = [0]
+    height = [1]
+    pile_of = [0] * (n + 1)
+    depth_of = [0] * (n + 1)
+    blocker = [-1] * (n + 1)
+    for i, v in enumerate(raw, 1):
+        t = bisect_right(tops, v)
+        blocker[i] = top_index[t - 1]
+        pile_of[i] = t
+        if t == len(tops):
+            tops.append(v)
+            top_index.append(i)
+            height.append(1)
+        else:
+            depth_of[i] = height[t]
+            tops[t] = v
+            top_index[t] = i
+            height[t] += 1
+    return tuple(pile_of), tuple(depth_of), tuple(blocker)
+
+
+def require_feasible(raw, s):
+    """Index-set validation read off the raw values, one check after another.
+
+    Raises what `lisrc.require_feasible` raises, with the same message:
+    IndexOutOfRange for the first member that is not an int (in input
+    order), then for the first out of 1..n (in sorted order), then
+    Infeasible for the first adjacent pair whose values do not increase.
+    """
+    n = len(raw)
+    items = list(s)
+    for i in items:
+        if type(i) is not int:
+            raise IndexOutOfRange(i, n)
+    members = tuple(sorted(set(items)))
+    for i in members:
+        if not 1 <= i <= n:
+            raise IndexOutOfRange(i, n)
+    for i, j in zip(members, members[1:]):
+        if raw[i - 1] > raw[j - 1]:
+            raise Infeasible(i, j, raw[i - 1], raw[j - 1])
+    return members
+
+
+def require_pair(raw, k, i_set, j_set):
+    """The two sets of one query, validated check after check.
+
+    `require_feasible` on each set, then the size comparison, then each
+    set again with the size-k test (skipped when k is None), the order in
+    which the package raises.
+    """
+    members_i = require_feasible(raw, i_set)
+    members_j = require_feasible(raw, j_set)
+    if len(members_i) != len(members_j):
+        raise SizeMismatch(len(members_i), len(members_j))
+    if k is not None:
+        for s in (members_i, members_j):
+            members = require_feasible(raw, s)
+            if len(members) != k:
+                raise NotMaximum(
+                    f"{members} has size {len(members)}, maximum feasible size is {k}"
+                )
+    return members_i, members_j
 
 
 def max_feasible_sets(raw):

@@ -25,7 +25,15 @@ from lisrc import (
     two_coloring,
     witness,
 )
-from lisrc.cli import _int_tokens, format_instance, generate, parse_instance, run
+import lisrc.cli
+from lisrc.cli import (
+    _int_tokens,
+    build_parser,
+    format_instance,
+    generate,
+    parse_instance,
+    run,
+)
 
 import bruteforce as bf
 
@@ -413,6 +421,91 @@ def write_pairs(path, n):
         format_instance(normalize(values), range(1, n, 2), range(2, n + 1, 2))
     )
     return path
+
+
+class TestParserReuse:
+    """One parser serves every `run` of a process, as if each were fresh."""
+
+    SEQUENCES = {
+        "witness_json_then_text": [
+            ["witness", "--json", DETOUR_FILE],
+            ["witness", DETOUR_FILE],
+        ],
+        "oracle_modes": [
+            ["oracle", "--general", "--shortest", DETOUR_FILE],
+            ["oracle", DETOUR_FILE],
+        ],
+        "gen_bipartite_then_plain": [
+            ["gen", "-n", "8", "--seed", "3", "--bipartite"],
+            ["gen", "-n", "8", "--seed", "3"],
+        ],
+        "bad_bound_twice": [
+            ["oracle", "--max-oracle-n", "-1", K22_FILE],
+            ["oracle", "--max-oracle-n", "-1", K22_FILE],
+        ],
+        "exit_status_then_none": [
+            ["decide", "--exit-status", K22_FILE],
+            ["decide", K22_FILE],
+        ],
+    }
+
+    @staticmethod
+    def outcome(capsys, argv):
+        status = run(argv)
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_reused_parser_answers_like_a_fresh_one(self, capsys, name):
+        argvs = self.SEQUENCES[name]
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        parser = build_parser()
+        # Twice through the sequence, so every call after the first finds
+        # the parser already used.
+        for _ in range(2):
+            assert [self.outcome(capsys, argv) for argv in argvs] == fresh
+        assert build_parser() is parser
+
+    def test_bad_bound_usage_repeats(self, capsys):
+        first = self.outcome(capsys, ["oracle", "--max-oracle-n", "-1", K22_FILE])
+        second = self.outcome(capsys, ["oracle", "--max-oracle-n", "-1", K22_FILE])
+        assert first == second
+        assert first[0] == 2 and first[2].startswith("usage: lisrc oracle")
+        assert "--max-oracle-n: must be >= 0" in first[2]
+
+
+class TestStepsJson:
+    """The `--json` step list is built on the JSON path only."""
+
+    CASES = {
+        "witness": ["witness", DETOUR_FILE],
+        "shortest": ["shortest", BIP_FILE],
+        "oracle_shortest": ["oracle", "--shortest", DETOUR_FILE],
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_text_path_skips_it(self, capsys, monkeypatch, name):
+        expected = (run(self.CASES[name]), capsys.readouterr().out)
+
+        def refuse(rs):
+            raise AssertionError("step list built on the text path")
+
+        monkeypatch.setattr(lisrc.cli, "_steps_json", refuse)
+        assert (run(self.CASES[name]), capsys.readouterr().out) == expected
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_json_path_lists_every_step(self, capsys, name):
+        argv = self.CASES[name]
+        assert run([argv[0], "--json", *argv[1:]]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["length"] == len(payload["steps"]) > 0
+        assert set(payload["steps"][0]) == {"remove", "add"}
 
 
 class CountingSink:

@@ -6,6 +6,7 @@ set Infeasible, sets of unequal size SizeMismatch, and a feasible set
 below the LIS length NotMaximum, in that order.
 """
 import pytest
+from hypothesis import given, strategies as st
 
 from lisrc import (
     IndexOutOfRange,
@@ -25,7 +26,9 @@ from lisrc import (
     shortest_sequence,
     witness,
 )
+from lisrc.reconfig import require_pair
 
+import bruteforce as bf
 from conftest import DETOUR
 
 # Each entry point as a function of (seq, I, J).
@@ -92,3 +95,64 @@ def test_non_int_index_is_out_of_range(call, bad):
     with pytest.raises(IndexOutOfRange) as info:
         call(SEQ, (bad, 3, 5))
     assert info.value.index is bad
+
+
+# Bad pairs on DETOUR (n = 7, k = 3), each against the reference that runs
+# every check in full: require_feasible twice, the size comparison, then
+# the size-k test on each set.
+BAD_PAIRS = {
+    "index_out_of_range_in_I": ((1, 9, 5), J_MAX),
+    "index_zero_in_J": (I_MAX, (0, 6, 7)),
+    "float_index_in_J": (I_MAX, (2, 6.0, 7)),
+    "infeasible_I": ((1, 2, 3), J_MAX),
+    "infeasible_J": (I_MAX, (2, 3, 4)),
+    "both_bad_I_first": ((1, 2, 3), (0,)),
+    "sizes_differ": (I_MAX, (2, 4)),
+    "sizes_differ_undersized": ((1, 3), (2,)),
+    "not_maximum": ((1, 3), (2, 4)),
+    "not_maximum_J_repeats": ((1, 3), (2, 4, 2)),
+    "empty_sets": ((), ()),
+}
+
+
+def outcome(call):
+    try:
+        return "ok", call()
+    except (IndexOutOfRange, Infeasible, NotMaximum, SizeMismatch) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("maximum", [True, False], ids=["maximum", "general"])
+@pytest.mark.parametrize("name", BAD_PAIRS)
+def test_require_pair_matches_full_reference(name, maximum):
+    i_set, j_set = BAD_PAIRS[name]
+    ps = build_piles(SEQ) if maximum else None
+    k = ps.k if maximum else None
+    got = outcome(lambda: require_pair(SEQ, ps, i_set, j_set))
+    want = outcome(lambda: bf.require_pair(DETOUR[0], k, i_set, j_set))
+    assert got == want
+    if maximum:
+        assert got[0] != "ok"
+
+
+@pytest.mark.parametrize("entry", PAIR_ENTRY_POINTS)
+@pytest.mark.parametrize("name", BAD_PAIRS)
+def test_entry_points_raise_reference_error(name, entry):
+    i_set, j_set = BAD_PAIRS[name]
+    want = outcome(lambda: bf.require_pair(DETOUR[0], 3, i_set, j_set))
+    assert want[0] != "ok"
+    assert outcome(lambda: PAIR_ENTRY_POINTS[entry](SEQ, i_set, j_set)) == want
+
+
+@given(
+    st.integers(1, 7).flatmap(lambda n: st.permutations(list(range(1, n + 1)))),
+    st.lists(st.integers(-1, 8), max_size=5),
+    st.lists(st.integers(-1, 8), max_size=5),
+    st.booleans(),
+)
+def test_require_pair_matches_reference_on_random_sets(raw, i_set, j_set, maximum):
+    seq = normalize(raw)
+    ps = build_piles(seq) if maximum else None
+    k = ps.k if maximum else None
+    got = outcome(lambda: require_pair(seq, ps, i_set, j_set))
+    assert got == outcome(lambda: bf.require_pair(raw, k, i_set, j_set))

@@ -1,19 +1,29 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lisrc import (
     IndexOutOfRange,
+    PileSystem,
     build_piles,
+    downward_moves,
+    enumerate_feasible,
     extract_canonical_max,
     is_maximum_feasible,
+    minimal_set,
+    mixed_piles,
     normalize,
     pile_coord,
     placement_pile,
 )
 
 import bruteforce as bf
-from conftest import K22_NO, DETOUR
+from conftest import BIP, K22_NO, DETOUR
+
+DERIVED = {"pile_of", "depth_of", "blocker", "n"}
 
 
 def corpus(seed=23, rounds=120, max_n=12):
@@ -102,6 +112,68 @@ class TestBuildPiles:
                 by_pile = sorted(s, key=lambda i: ps.pile_of[i])
                 for u, v in zip(by_pile, by_pile[1:]):
                     assert precedes(seq, u, v)
+
+
+class TestDerivedCoordinates:
+    """Dealing keeps only the piles; the per-element fields come later."""
+
+    @given(
+        st.one_of(
+            st.integers(0, 12).flatmap(
+                lambda n: st.permutations(list(range(1, n + 1)))
+            ),
+            st.tuples(
+                st.integers(0, 12).flatmap(
+                    lambda n: st.permutations(list(range(1, n + 1)))
+                ),
+                st.integers(-50, 50).filter(bool),
+            ).map(lambda p: [v + p[1] for v in p[0]]),
+            st.lists(st.integers(-10**6, 10**6), unique=True, max_size=40),
+        )
+    )
+    def test_match_dealing_reference(self, raw):
+        ps = build_piles(normalize(raw))
+        pile_of, depth_of, blocker = bf.deal_reference(raw)
+        assert ps.pile_of == pile_of
+        assert ps.depth_of == depth_of
+        assert ps.blocker == blocker
+        assert ps.n == len(raw)
+
+    def test_piles_are_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(PileSystem)] == ["piles"]
+        ps = build_piles(normalize(DETOUR[0]))
+        assert not DERIVED & vars(ps).keys()
+        assert ps.pile_of[6] == 2 and "pile_of" in vars(ps)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda seq, ps, i, j: minimal_set(seq, ps, i),
+            lambda seq, ps, i, j: downward_moves(seq, ps, j),
+            lambda seq, ps, i, j: mixed_piles(seq, ps, i, j),
+        ],
+        ids=["minimal_set", "downward_moves", "mixed_piles"],
+    )
+    @pytest.mark.parametrize("instance", [DETOUR, BIP, K22_NO], ids=["detour", "bip", "k22"])
+    def test_queries_do_not_derive(self, query, instance):
+        seq = normalize(instance[0])
+        ps = build_piles(seq)
+        query(seq, ps, instance[1], instance[2])
+        assert not DERIVED & vars(ps).keys()
+
+    def test_member_t_on_pile_t_exhaustive(self):
+        # Every permutation of n <= 8: the t-th member (in index order) of
+        # every maximum feasible set lies on pile t.
+        sets = 0
+        for n in range(9):
+            for raw in itertools.permutations(range(1, n + 1)):
+                seq = normalize(raw)
+                ps = build_piles(seq)
+                for s in enumerate_feasible(seq, ps.k, bound=8):
+                    assert len(s) == ps.k
+                    assert all(i in pile for i, pile in zip(s, ps.piles[1:]))
+                    sets += 1
+        assert sets == 136_587
 
 
 class TestExtractCanonicalMax:

@@ -20,6 +20,7 @@ from lisrc import (
     oracle_shortest,
     witness,
 )
+from lisrc.reconfig import _per_pile
 
 import bruteforce as bf
 from conftest import K22_NO, DETOUR
@@ -198,6 +199,23 @@ class TestMinimalSet:
             m, trace = minimal_set(seq, ps, s)
             assert (m, trace) == naive_descent(seq, ps, s)
             assert m == tuple(row[0] for row in grid)
+
+
+class TestPerPile:
+    def test_member_t_is_pile_t(self):
+        ps = build_piles(normalize(DETOUR[0]))
+        assert _per_pile(ps, (2, 4, 5)) == [0, 2, 4, 5]
+
+    @pytest.mark.parametrize(
+        "members",
+        [(1, 3), (2, 4), (1,), (1, 2, 4)],
+        ids=["two_on_pile_1", "two_on_pile_2", "too_few", "too_many"],
+    )
+    def test_asserts_one_member_per_pile(self, members):
+        # Sets that skipped validation: the assertion still catches them.
+        ps = build_piles(normalize(K22_NO[0]))
+        with pytest.raises(AssertionError, match="each pile once"):
+            _per_pile(ps, members)
 
 
 class TestDecide:
