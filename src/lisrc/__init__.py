@@ -11,7 +11,6 @@ from .bipartite import (
     MixedPile,
     NoSequence,
     NotBipartite,
-    OddCycle,
     PermutationGraph,
     build_graph,
     find_forbidden_pair,
@@ -21,7 +20,6 @@ from .bipartite import (
 )
 from .errors import (
     DuplicateValue,
-    GenerationFailed,
     IndexOutOfRange,
     Infeasible,
     LisrcError,
@@ -44,7 +42,6 @@ from .piles import (
     build_piles,
     extract_canonical_max,
     pile_coord,
-    placement_pile,
 )
 from .reconfig import (
     Answer,
@@ -75,7 +72,6 @@ __all__ = [
     "DEFAULT_BOUND",
     "DuplicateValue",
     "FeasibleSet",
-    "GenerationFailed",
     "IndexOutOfRange",
     "Infeasible",
     "LisrcError",
@@ -83,7 +79,6 @@ __all__ = [
     "NoSequence",
     "NotBipartite",
     "NotMaximum",
-    "OddCycle",
     "ParseError",
     "PermutationGraph",
     "PileSystem",
@@ -111,7 +106,6 @@ __all__ = [
     "oracle_decide",
     "oracle_shortest",
     "pile_coord",
-    "placement_pile",
     "precedes",
     "reconfigure",
     "require_feasible",

@@ -9,15 +9,14 @@ bipartite every pile has at most two entries, and a swap sequence of the
 smallest possible length |I \\ J| exists whenever any sequence exists; the
 only obstruction is a "forbidden pair" of mixed piles whose four elements
 close a 4-cycle, and the first such pair always sits on adjacent piles.
-`shortest_sequence` costs O(n log n), all of it in pile dealing.
-
-`build_graph` and `two_coloring` materialize the graph explicitly; they
-are quadratic and serve `lisrc graph` and the tests, not `shortest`.
+`shortest_sequence` costs O(n log n), all of it in pile dealing, and
+`two_coloring` O(n).  `build_graph` materializes the graph explicitly; it
+is quadratic and serves `lisrc graph` and the tests, not the queries.
 """
 from __future__ import annotations
 
+import random
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -59,13 +58,6 @@ class Bipartition:
 
 
 @dataclass(frozen=True)
-class OddCycle:
-    """Certificate that no two-coloring exists."""
-
-    vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class MixedPile:
     """A two-entry pile split between the two input sets."""
 
@@ -83,7 +75,7 @@ class NoSequence:
 
 @dataclass(frozen=True)
 class NotBipartite:
-    """The shortest-sequence routine only covers bipartite graphs."""
+    """The permutation graph is not bipartite: a decreasing triple, a triangle."""
 
     odd_cycle: tuple[int, ...]
 
@@ -107,55 +99,32 @@ def build_graph(seq: Sequence) -> PermutationGraph:
     )
 
 
-def two_coloring(g: PermutationGraph) -> Bipartition | OddCycle:
-    """Breadth-first two-coloring, or an odd-cycle certificate.
+def two_coloring(seq: Sequence) -> Bipartition | NotBipartite:
+    """Left-to-right maxima against the rest, or a decreasing triple: O(n).
 
-    Deterministic: components are rooted at their smallest vertex and the
-    root takes side 0.  The certificate is normalized to start at its
-    smallest vertex and continue toward its smaller neighbor.
+    Proof sketch, without a triple: for an inversion i < j, a_j is not a
+    left-to-right maximum, and a_i is one, or an earlier larger value
+    would close a 321.  So every edge joins the sides.  Side 0 holds each
+    component's smallest position, as in a breadth-first colouring.
+
+    >>> from lisrc.seqcore import normalize
+    >>> two_coloring(normalize((7, 8, 5, 6)))
+    Bipartition(sides=((1, 2), (3, 4)))
+    >>> two_coloring(normalize((15, 11, 16, 13, 17, 12, 14)))
+    NotBipartite(odd_cycle=(1, 4, 6))
     """
-    color = [-1] * (g.n + 1)
-    parent = [0] * (g.n + 1)
-    for root in range(1, g.n + 1):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    parent[w] = v
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return OddCycle(vertices=_close_cycle(parent, v, w))
-    side0 = tuple(v for v in range(1, g.n + 1) if color[v] == 0)
-    side1 = tuple(v for v in range(1, g.n + 1) if color[v] == 1)
-    return Bipartition(sides=(side0, side1))
-
-
-def _close_cycle(parent: list[int], v: int, w: int) -> tuple[int, ...]:
-    """Odd cycle through the non-tree edge {v, w}: tree paths to their meet."""
-    chain_v = [v]
-    while parent[chain_v[-1]] != 0:
-        chain_v.append(parent[chain_v[-1]])
-    position = {x: d for d, x in enumerate(chain_v)}
-    chain_w = [w]
-    while chain_w[-1] not in position:
-        chain_w.append(parent[chain_w[-1]])
-    meet = chain_w[-1]
-    cycle = chain_v[: position[meet] + 1] + chain_w[-2::-1]
-    return _normalize_cycle(cycle)
-
-
-def _normalize_cycle(cycle: list[int]) -> tuple[int, ...]:
-    """Rotate to the smallest vertex, then walk toward its smaller neighbor."""
-    start = cycle.index(min(cycle))
-    rotated = cycle[start:] + cycle[:start]
-    if rotated[-1] < rotated[1]:
-        rotated = [rotated[0]] + rotated[:0:-1]
-    return tuple(rotated)
+    triple = decreasing_triple(seq)
+    if triple is not None:
+        return NotBipartite(odd_cycle=triple)
+    maxima, rest = [], []
+    top = 0
+    for i, v in enumerate(seq.perm, 1):
+        if v > top:
+            top = v
+            maxima.append(i)
+        else:
+            rest.append(i)
+    return Bipartition(sides=(tuple(maxima), tuple(rest)))
 
 
 def mixed_piles(
@@ -242,6 +211,48 @@ def decreasing_triple(seq: Sequence) -> tuple[int, int, int] | None:
             return a + 1, j + 1, c + 1
         max_before = max(max_before, v)
     return None
+
+
+def random_321_avoiding(n: int, rng: random.Random) -> list[int]:
+    """A uniform 321-avoiding permutation of 1..n, that is one whose graph
+    is bipartite: a uniform Dyck path mapped one to one (Billey, Jockusch
+    & Stanley 1993; Krattenthaler 2001).  O(n).
+    """
+    word = [True] * n + [False] * (n + 1)
+    rng.shuffle(word)
+    return _dyck_to_permutation(_rotate_to_dyck(word))
+
+
+def _rotate_to_dyck(word: list[bool]) -> list[bool]:
+    """Cycle lemma: of the 2n + 1 rotations of n up-steps (True) and n + 1
+    down-steps, exactly one stays at height >= 0 until its last step, the
+    one starting just after the first lowest point.  Dropping that last
+    down-step leaves a Dyck path, each of which arises 2n + 1 times.
+    """
+    height = low = cut = 0
+    for m, up in enumerate(word, 1):
+        height += 1 if up else -1
+        if height < low:
+            low, cut = height, m
+    return word[cut:] + word[: cut - 1]
+
+
+def _dyck_to_permutation(path: list[bool]) -> list[int]:
+    """Each peak of the Dyck path puts a left-to-right maximum at position
+    (downs before it) + 1 with value (ups before it); the other values
+    fill the other positions in increasing order.
+    """
+    n = len(path) // 2
+    perm = [0] * n
+    ups = 0
+    for m, up in enumerate(path):
+        if up:
+            ups += 1
+            if not path[m + 1]:  # a path ends going down
+                perm[m + 1 - ups] = ups
+    taken = set(perm)
+    rest = (v for v in range(1, n + 1) if v not in taken)
+    return [v or next(rest) for v in perm]
 
 
 def shortest_sequence(

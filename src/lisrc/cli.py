@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 from . import bipartite as bp
 from . import oracle as orc
-from .errors import GenerationFailed, LisrcError, ParseError
+from .errors import LisrcError, ParseError
 from .piles import PileSystem, build_piles, extract_canonical_max
 from .reconfig import ReconfSequence, reconfigure
 from .seqcore import FeasibleSet, Sequence, normalize, require_feasible
@@ -38,7 +38,6 @@ from .seqcore import FeasibleSet, Sequence, normalize, require_feasible
 from .reconfig import minimal_set  # noqa: F401
 
 ORACLE_BOUND_ENV = "LISRC_ORACLE_BOUND"
-GEN_MAX_ATTEMPTS = 10000
 # Text lines per write.  A walk line holds a whole set, so one batch is
 # O(k) text, far below the O(k) per step of a long walk's whole output.
 EMIT_BATCH_LINES = 16
@@ -170,28 +169,25 @@ def generate(
 
     I is the canonical blocker chain; J is drawn uniformly from all
     maximum feasible sets when n is within the exhaustive bound, else by
-    a random backward chain.  With bipartite=True, permutations are
-    redrawn until the inversion graph admits a two-coloring, that is
-    until they have no decreasing triple.
+    a random backward chain.  The permutation is uniform over all of
+    1..n, or with bipartite=True uniform over those whose permutation
+    graph is bipartite (the 321-avoiding ones), for any n.
     """
     rng = random.Random(seed)
-    values = list(range(1, n + 1))
-    for _ in range(GEN_MAX_ATTEMPTS):
+    if bipartite:
+        values = bp.random_321_avoiding(n, rng)
+    else:
+        values = list(range(1, n + 1))
         rng.shuffle(values)
-        seq = normalize(values)
-        if bipartite and bp.decreasing_triple(seq) is not None:
-            continue
-        ps = build_piles(seq)
-        i_set = extract_canonical_max(ps)
-        if n <= bound:
-            j_set = rng.choice(orc.enumerate_feasible(seq, ps.k, bound))
-        else:
-            j_set = random_max_set(seq, ps, rng)
-        tag = f"n={n} seed={seed}" + (" bipartite" if bipartite else "")
-        return format_instance(seq, i_set, j_set, comment=f"lisrc gen {tag}")
-    raise GenerationFailed(
-        f"no bipartite permutation found in {GEN_MAX_ATTEMPTS} samples (n={n})"
-    )
+    seq = normalize(values)
+    ps = build_piles(seq)
+    i_set = extract_canonical_max(ps)
+    if n <= bound:
+        j_set = rng.choice(orc.enumerate_feasible(seq, ps.k, bound))
+    else:
+        j_set = random_max_set(seq, ps, rng)
+    tag = f"n={n} seed={seed}" + (" bipartite" if bipartite else "")
+    return format_instance(seq, i_set, j_set, comment=f"lisrc gen {tag}")
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--bipartite",
         action="store_true",
-        help="resample until the permutation graph is bipartite",
+        help="draw uniformly among permutations with a bipartite graph",
     )
     p_gen.add_argument("-o", "--output", metavar="FILE", help="write here, not stdout")
 

@@ -64,7 +64,3 @@ class ParseError(LisrcError):
         self.line = line
         self.column = column
         super().__init__(f"line {line}, column {column}: {message}")
-
-
-class GenerationFailed(LisrcError):
-    """Instance generation gave up after too many rejected samples."""

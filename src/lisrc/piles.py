@@ -92,27 +92,11 @@ class PileSystem:
         return [(i, seq.raw[i - 1] if i else 0) for i in self.piles[t]]
 
 
-def placement_pile(tops: list[int], v: int) -> int:
-    """Leftmost pile whose top exceeds v, given the current pile tops.
-
-    `tops` must be strictly increasing; returns len(tops) when every top
-    is below v, i.e. a new pile is opened.
-
-    >>> placement_pile([0, 7, 8], 5)
-    1
-    >>> placement_pile([0], 9)
-    1
-    >>> placement_pile([0, 5, 8], 6)
-    2
-    """
-    return bisect_right(tops, v)
-
-
 def build_piles(seq: Sequence) -> PileSystem:
     """Deal the sequence (sentinel first) into piles.
 
-    O(n log n): one binary search over the pile tops per element, the
-    search of `placement_pile` inlined.  Only the piles and their top
+    O(n log n): one binary search over the pile tops per element finds
+    the leftmost pile whose top exceeds it.  Only the piles and their top
     values are kept while dealing; the per-element coordinates are
     derived from the piles when first read.
 

@@ -3,13 +3,14 @@
 Everything here works straight off the raw value list, or straight off
 the fields of a walk, so it shares no code path with the package.
 Exponential, except `lis_length`, `deal_reference`, `rank_normalize`,
-`scan_int_tokens`, `require_pair`, `replay_sets`, `render_walk` and the
-staircase builders; keep n small.
+`scan_int_tokens`, `require_pair`, `two_coloring`, `replay_sets`,
+`render_walk` and the staircase builders; keep n small.
 """
 import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 
+from lisrc.bipartite import Bipartition, NotBipartite
 from lisrc.errors import (
     DuplicateValue,
     IndexOutOfRange,
@@ -250,6 +251,72 @@ def decreasing_triples(raw):
         for a, b, c in itertools.combinations(range(1, len(raw) + 1), 3)
         if raw[a - 1] > raw[b - 1] > raw[c - 1]
     )
+
+
+def two_coloring(raw):
+    """Breadth-first two-colouring of the inversion graph: a Bipartition,
+    or NotBipartite carrying an odd cycle.
+
+    Components are rooted at their smallest position, which takes side 0.
+    The odd cycle closes the first non-tree edge found; it starts at its
+    smallest position and continues toward that position's smaller
+    neighbour on the cycle.
+    """
+    n = len(raw)
+    adjacency = [[] for _ in range(n + 1)]
+    for i, j in sorted(inversion_edges(raw)):
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    color = [-1] * (n + 1)
+    parent = [0] * (n + 1)
+    for root in range(1, n + 1):
+        if color[root] != -1:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in adjacency[v]:
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    parent[w] = v
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return NotBipartite(odd_cycle=_close_cycle(parent, v, w))
+    return Bipartition(
+        sides=tuple(
+            tuple(v for v in range(1, n + 1) if color[v] == side) for side in (0, 1)
+        )
+    )
+
+
+def _close_cycle(parent, v, w):
+    """The odd cycle through the non-tree edge {v, w}, normalised."""
+    chain_v = [v]
+    while parent[chain_v[-1]] != 0:
+        chain_v.append(parent[chain_v[-1]])
+    position = {x: d for d, x in enumerate(chain_v)}
+    chain_w = [w]
+    while chain_w[-1] not in position:
+        chain_w.append(parent[chain_w[-1]])
+    cycle = chain_v[: position[chain_w[-1]] + 1] + chain_w[-2::-1]
+    start = cycle.index(min(cycle))
+    cycle = cycle[start:] + cycle[:start]
+    if cycle[-1] < cycle[1]:
+        cycle = [cycle[0]] + cycle[:0:-1]
+    return tuple(cycle)
+
+
+def dyck_paths(n):
+    """Every Dyck path of semilength n as a tuple of steps, True going up."""
+    paths = []
+    for ups in itertools.combinations(range(2 * n), n):
+        up_at = set(ups)
+        path = tuple(m in up_at for m in range(2 * n))
+        heights = itertools.accumulate(1 if up else -1 for up in path)
+        if all(h >= 0 for h in heights):
+            paths.append(path)
+    return paths
 
 
 def chain_levels(raw):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,6 @@ from lisrc import (
     NoSequence,
     NotBipartite,
     NotMaximum,
-    OddCycle,
     ReconfSequence,
     SizeMismatch,
     build_graph,
@@ -23,7 +23,12 @@ from lisrc import (
     shortest_sequence,
     two_coloring,
 )
-from lisrc.bipartite import decreasing_triple
+from lisrc.bipartite import (
+    _dyck_to_permutation,
+    _rotate_to_dyck,
+    decreasing_triple,
+    random_321_avoiding,
+)
 
 import bruteforce as bf
 from conftest import BIP, K22_NO, DETOUR
@@ -36,7 +41,7 @@ def random_bipartite_instances(seed, wanted, max_n=10):
     found = []
     while len(found) < wanted:
         raw = bf.random_perm(rng, rng.randint(2, max_n))
-        if isinstance(two_coloring(build_graph(normalize(raw))), OddCycle):
+        if isinstance(bf.two_coloring(raw), NotBipartite):
             continue
         maxima = bf.max_feasible_sets(raw)
         found.append((raw, rng.choice(maxima), rng.choice(maxima)))
@@ -80,24 +85,25 @@ class TestBuildGraph:
 
 class TestTwoColoring:
     def test_four_cycle(self):
-        result = two_coloring(build_graph(normalize(K22_NO[0])))
+        result = two_coloring(normalize(K22_NO[0]))
         assert result == Bipartition(sides=((1, 2), (3, 4)))
 
     def test_edgeless(self):
-        result = two_coloring(build_graph(normalize((1, 2, 3))))
+        result = two_coloring(normalize((1, 2, 3)))
         assert result == Bipartition(sides=((1, 2, 3), ()))
 
     def test_triangle_certificate(self):
-        result = two_coloring(build_graph(normalize(DETOUR[0])))
-        assert result == OddCycle(vertices=(1, 4, 6))
+        result = two_coloring(normalize(DETOUR[0]))
+        assert result == NotBipartite(odd_cycle=(1, 4, 6))
 
     def test_certificate_is_odd_cycle(self):
         rng = random.Random(15)
         seen_odd = 0
         for _ in range(200):
             raw = bf.random_perm(rng, rng.randint(2, 10))
-            g = build_graph(normalize(raw))
-            result = two_coloring(g)
+            seq = normalize(raw)
+            g = build_graph(seq)
+            result = two_coloring(seq)
             if isinstance(result, Bipartition):
                 side0 = set(result.sides[0])
                 assert side0.isdisjoint(result.sides[1])
@@ -106,12 +112,61 @@ class TestTwoColoring:
                     assert (i in side0) != (j in side0)
             else:
                 seen_odd += 1
-                cycle = result.vertices
+                cycle = result.odd_cycle
                 assert len(cycle) % 2 == 1 and len(cycle) >= 3
                 assert len(set(cycle)) == len(cycle)
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                     assert g.has_edge(a, b)
         assert seen_odd > 0
+
+    def test_matches_bfs_reference_exhaustively(self):
+        # Every permutation of n <= 8: on 321-avoiders the sides are the
+        # breadth-first reference's, on the rest the certificate is the
+        # decreasing triple, a triangle of the graph.
+        avoiders = 0
+        for n in range(9):
+            for raw in itertools.permutations(range(1, n + 1)):
+                seq = normalize(raw)
+                result = two_coloring(seq)
+                if next(bf.decreasing_triples(raw), None) is None:
+                    avoiders += 1
+                    assert result == bf.two_coloring(raw)
+                    continue
+                triple = decreasing_triple(seq)
+                assert result == NotBipartite(odd_cycle=triple)
+                g = build_graph(seq)
+                pairs = itertools.combinations(triple, 2)
+                assert all(g.has_edge(x, y) for x, y in pairs)
+        assert avoiders == 1 + 2055
+
+
+class TestRandom321Avoiding:
+    def test_map_is_a_bijection_onto_321_avoiders(self):
+        for n in range(9):
+            images = [tuple(_dyck_to_permutation(list(p))) for p in bf.dyck_paths(n)]
+            avoiders = [
+                raw
+                for raw in itertools.permutations(range(1, n + 1))
+                if next(bf.decreasing_triples(raw), None) is None
+            ]
+            assert len(set(images)) == len(images)
+            assert sorted(images) == avoiders
+
+    def test_rotation_hits_each_dyck_path_2n_plus_1_times(self):
+        for n in range(6):
+            hits = Counter(
+                tuple(_rotate_to_dyck([m in ups for m in range(2 * n + 1)]))
+                for ups in map(set, itertools.combinations(range(2 * n + 1), n))
+            )
+            assert set(hits) == set(bf.dyck_paths(n))
+            assert set(hits.values()) == {2 * n + 1}
+
+    def test_draws_are_321_avoiding_permutations(self):
+        rng = random.Random(5)
+        for n in (0, 1, 2, 7, 30):
+            values = random_321_avoiding(n, rng)
+            assert sorted(values) == list(range(1, n + 1))
+            assert next(bf.decreasing_triples(values), None) is None
 
 
 class TestDecreasingTriple:
@@ -120,7 +175,8 @@ class TestDecreasingTriple:
 
     def test_triangle_where_coloring_finds_a_longer_cycle(self):
         seq = normalize((3, 5, 1, 4, 2))
-        assert two_coloring(build_graph(seq)) == OddCycle(vertices=(1, 3, 2, 4, 5))
+        assert bf.two_coloring(seq.raw) == NotBipartite(odd_cycle=(1, 3, 2, 4, 5))
+        assert two_coloring(seq) == NotBipartite(odd_cycle=(2, 4, 5))
         assert decreasing_triple(seq) == (2, 4, 5)
 
     def test_matches_brute_force(self):
@@ -236,7 +292,7 @@ class TestShortestSequence:
         for n in range(1, 7):
             for raw in itertools.permutations(range(1, n + 1)):
                 seq = normalize(raw)
-                if isinstance(two_coloring(build_graph(seq)), OddCycle):
+                if isinstance(bf.two_coloring(raw), NotBipartite):
                     continue
                 maxima = bf.max_feasible_sets(raw)
                 for i_set in maxima:

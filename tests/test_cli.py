@@ -17,7 +17,6 @@ from lisrc import (
     Infeasible,
     ParseError,
     ReconfSequence,
-    build_graph,
     is_maximum_feasible,
     normalize,
     oracle_shortest,
@@ -26,6 +25,7 @@ from lisrc import (
     witness,
 )
 import lisrc.cli
+from lisrc.bipartite import decreasing_triple
 from lisrc.cli import (
     _int_tokens,
     build_parser,
@@ -177,7 +177,35 @@ class TestGenerate:
     def test_bipartite_flag(self):
         for seed in range(10):
             seq, _, _ = parse_instance(generate(7, seed=seed, bipartite=True))
-            assert isinstance(two_coloring(build_graph(seq)), Bipartition)
+            assert isinstance(two_coloring(seq), Bipartition)
+
+    @pytest.mark.parametrize("n", [14, 16, 100_000])
+    def test_bipartite_at_any_n(self, capsys, n):
+        argv = ["gen", "-n", str(n), "--seed", "1", "--bipartite"]
+        assert run(argv) == 0
+        first = capsys.readouterr()
+        assert first.err == ""
+        assert run(argv) == 0
+        assert capsys.readouterr().out == first.out
+        seq, i_set, j_set = parse_instance(first.out)
+        assert seq.n == n and decreasing_triple(seq) is None
+        assert is_maximum_feasible(seq, i_set) and is_maximum_feasible(seq, j_set)
+
+    def test_plain_output_is_pinned(self, capsys):
+        # Seeded instances stay byte for byte, within the exhaustive bound
+        # and above it.
+        assert run(["gen", "-n", "6", "--seed", "4"]) == 0
+        assert run(["gen", "-n", "20", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "# lisrc gen n=6 seed=4\n"
+            "4 6 5 1 3 2\n"
+            "1 2\n"
+            "4 6\n"
+            "# lisrc gen n=20 seed=1\n"
+            "12 6 18 20 10 1 17 2 16 7 11 14 15 13 8 4 9 3 19 5\n"
+            "6 8 10 11 12 13 19\n"
+            "6 8 10 11 12 13 19\n"
+        )
 
     def test_large_n_uses_chain_sampling(self):
         seq, i_set, j_set = parse_instance(generate(40, seed=3, bound=16))

@@ -17,7 +17,6 @@ from lisrc import (
     mixed_piles,
     normalize,
     pile_coord,
-    placement_pile,
 )
 
 import bruteforce as bf
@@ -36,17 +35,6 @@ def corpus(seed=23, rounds=120, max_n=12):
     rng = random.Random(seed)
     for _ in range(rounds):
         yield bf.random_perm(rng, rng.randint(0, max_n))
-
-
-class TestPlacementPile:
-    def test_leftmost_larger_top(self):
-        assert placement_pile([0, 7, 8], 5) == 1
-
-    def test_new_pile(self):
-        assert placement_pile([0], 9) == 1
-
-    def test_skips_smaller_tops(self):
-        assert placement_pile([0, 5, 8], 6) == 2
 
 
 class TestBuildPiles:
