@@ -32,7 +32,6 @@ from .oracle import (
     DEFAULT_BOUND,
     ReconfGraph,
     build_reconfig_graph,
-    connected_components,
     enumerate_feasible,
     oracle_decide,
     oracle_shortest,
@@ -92,7 +91,6 @@ __all__ = [
     "build_graph",
     "build_piles",
     "build_reconfig_graph",
-    "connected_components",
     "decide",
     "downward_moves",
     "enumerate_feasible",

@@ -1,16 +1,31 @@
 """Exhaustive ground truth for small sequences.
 
-Enumerates feasible sets of a given size, builds the graph whose nodes
-are those sets and whose edges are single swaps, and answers
-connectivity and shortest-path queries by breadth-first search.  Guarded
-by a size bound because the number of feasible sets can grow
-exponentially; callers may raise the bound explicitly.
+The swap graph has the feasible sets of one size as nodes, adjacent when
+they differ in exactly one element.  `oracle_shortest` and
+`oracle_decide` search it breadth-first from I without building it:
+each set's neighbours are generated on the fly, and the search stops as
+soon as it discovers J, so a query visits only the sets of I's component
+that lie no farther from I than J does.  `enumerate_feasible` and
+`build_reconfig_graph` materialise every set and every edge; they serve
+`lisrc oracle --enumerate` and `--dot`.  Every entry point is guarded by
+a size bound, because the number of feasible sets can grow exponentially;
+callers may raise the bound explicitly.
+
+>>> from lisrc.seqcore import normalize
+>>> oracle_shortest(normalize((7, 8, 5, 6)), (1, 2), (3, 4)) is None
+True
+>>> length, walk = oracle_shortest(
+...     normalize((15, 11, 16, 13, 17, 12, 14)), (1, 3, 5), (2, 6, 7))
+>>> length
+4
+>>> list(walk.sets())
+[(1, 3, 5), (2, 3, 5), (2, 4, 5), (2, 4, 7), (2, 6, 7)]
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import SizeMismatch, TooLarge
 from .piles import build_piles
@@ -26,13 +41,6 @@ class ReconfGraph:
 
     nodes: tuple[FeasibleSet, ...]
     edges: tuple[tuple[int, int], ...]
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.nodes]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
 
 
 def _check_bound(seq: Sequence, bound: int) -> None:
@@ -92,18 +100,28 @@ def build_reconfig_graph(sets: Iterable[FeasibleSet]) -> ReconfGraph:
     return ReconfGraph(nodes=tuple(nodes), edges=tuple(sorted(edges)))
 
 
-def _graph_for(
-    seq: Sequence,
-    i_set: Iterable[int],
-    j_set: Iterable[int],
-    maximum_only: bool,
-    bound: int,
-) -> tuple[ReconfGraph, FeasibleSet, FeasibleSet]:
-    _check_bound(seq, bound)
-    ps = build_piles(seq) if maximum_only else None
-    members_i, members_j = require_pair(seq, ps, i_set, j_set)
-    graph = build_reconfig_graph(enumerate_feasible(seq, len(members_i), bound))
-    return graph, members_i, members_j
+def _neighbours(perm: tuple[int, ...], s: FeasibleSet) -> Iterator[FeasibleSet]:
+    """Every feasible set one swap away from the sorted set `s`.
+
+    `perm` is the permutation framed by its sentinels: 0 at index 0 and
+    n + 1 at index n + 1.  Dropping `s[r]` leaves `rest`; an index
+    strictly inside a gap (lo, hi) of the framed `rest` keeps it
+    increasing exactly when its value lies between perm[lo] and
+    perm[hi], and inserting it at that gap keeps the tuple sorted.  A
+    neighbour determines both the dropped member and the added index, so
+    each one is generated once.
+    """
+    last = len(perm) - 1
+    for r, out in enumerate(s):
+        rest = s[:r] + s[r + 1 :]
+        frame = (0, *rest, last)
+        for g in range(len(rest) + 1):
+            lo, hi = frame[g], frame[g + 1]
+            low, high = perm[lo], perm[hi]
+            head, tail = rest[:g], rest[g:]
+            for into in range(lo + 1, hi):
+                if into != out and low < perm[into] < high:
+                    yield head + (into,) + tail
 
 
 def oracle_decide(
@@ -113,9 +131,8 @@ def oracle_decide(
     maximum_only: bool = True,
     bound: int = DEFAULT_BOUND,
 ) -> bool:
-    """Connectivity between two feasible sets in the full swap graph."""
-    graph, members_i, members_j = _graph_for(seq, i_set, j_set, maximum_only, bound)
-    return _bfs(graph, members_i, members_j) is not None
+    """Whether J is reachable from I in the swap graph."""
+    return oracle_shortest(seq, i_set, j_set, maximum_only, bound) is not None
 
 
 def oracle_shortest(
@@ -125,60 +142,35 @@ def oracle_shortest(
     maximum_only: bool = True,
     bound: int = DEFAULT_BOUND,
 ) -> tuple[int, ReconfSequence] | None:
-    """Minimal swap count and one shortest sequence, or None if disconnected."""
-    graph, members_i, members_j = _graph_for(seq, i_set, j_set, maximum_only, bound)
-    path = _bfs(graph, members_i, members_j)
-    if path is None:
+    """Minimal swap count and one shortest sequence, or None if disconnected.
+
+    Breadth-first from I over neighbours generated by `_neighbours`,
+    stopping when J is discovered.  In maximum mode every set of I's size
+    is maximum, so the search over all sets of that size is the search
+    over maximum sets.
+    """
+    _check_bound(seq, bound)
+    ps = build_piles(seq) if maximum_only else None
+    members_i, members_j = require_pair(seq, ps, i_set, j_set)
+    perm = (0, *seq.perm, seq.n + 1)
+    prev: dict[FeasibleSet, FeasibleSet | None] = {members_i: None}
+    queue = deque([members_i])
+    while members_j not in prev and queue:
+        s = queue.popleft()
+        for t in _neighbours(perm, s):
+            if t not in prev:
+                prev[t] = s
+                if t == members_j:
+                    break
+                queue.append(t)
+    if members_j not in prev:
         return None
     steps = []
-    for a, b in zip(path, path[1:]):
-        (out,) = set(a) - set(b)
-        (into,) = set(b) - set(a)
+    t = members_j
+    while (s := prev[t]) is not None:
+        (out,) = set(s) - set(t)
+        (into,) = set(t) - set(s)
         steps.append(SwapStep(remove=out, add=into))
+        t = s
+    steps.reverse()
     return len(steps), ReconfSequence(start=members_i, steps=tuple(steps))
-
-
-def _bfs(
-    graph: ReconfGraph, source: FeasibleSet, target: FeasibleSet
-) -> list[FeasibleSet] | None:
-    index = {s: i for i, s in enumerate(graph.nodes)}
-    src, dst = index[source], index[target]
-    if src == dst:
-        return [source]
-    adj = graph.adjacency()
-    prev = {src: -1}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in prev:
-                prev[v] = u
-                if v == dst:
-                    path = [v]
-                    while path[-1] != src:
-                        path.append(prev[path[-1]])
-                    return [graph.nodes[i] for i in reversed(path)]
-                queue.append(v)
-    return None
-
-
-def connected_components(graph: ReconfGraph) -> list[frozenset[FeasibleSet]]:
-    """Partition of the node sets into swap-connected groups."""
-    adj = graph.adjacency()
-    seen = [False] * len(graph.nodes)
-    parts: list[frozenset[FeasibleSet]] = []
-    for start in range(len(graph.nodes)):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        parts.append(frozenset(graph.nodes[i] for i in comp))
-    return parts

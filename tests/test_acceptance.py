@@ -18,7 +18,6 @@ from lisrc import (
     build_graph,
     build_piles,
     build_reconfig_graph,
-    connected_components,
     decide,
     downward_moves,
     enumerate_feasible,
@@ -57,7 +56,7 @@ def _partition_by_minimal(seq, ps, maxima):
 
 
 def _partition_by_connectivity(maxima):
-    return set(connected_components(build_reconfig_graph(maxima)))
+    return bf.connectivity_partition(maxima)
 
 
 def test_criterion_1_k22_no_instance(capsys):

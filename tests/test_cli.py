@@ -317,6 +317,20 @@ class TestRun:
         assert run(["oracle", "--dot", K22_FILE]) == 0
         out = capsys.readouterr().out
         assert out.startswith("graph R {") and '[label="{1,2}"]' in out
+        assert run(["oracle", "--dot", DETOUR_FILE]) == 0
+        assert capsys.readouterr().out == (
+            "graph R {\n"
+            '  0 [label="{1,3,5}"];\n'
+            '  1 [label="{2,3,5}"];\n'
+            '  2 [label="{2,4,5}"];\n'
+            '  3 [label="{2,4,7}"];\n'
+            '  4 [label="{2,6,7}"];\n'
+            "  0 -- 1;\n"
+            "  1 -- 2;\n"
+            "  2 -- 3;\n"
+            "  3 -- 4;\n"
+            "}\n"
+        )
 
     def test_oracle_general_flag(self, tmp_path, capsys):
         path = tmp_path / "gen.txt"

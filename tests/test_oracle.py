@@ -1,22 +1,28 @@
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import lisrc.oracle
 from lisrc import (
     NotMaximum,
     SizeMismatch,
+    SwapStep,
     TooLarge,
     build_reconfig_graph,
-    connected_components,
     enumerate_feasible,
     is_feasible,
     normalize,
     oracle_decide,
     oracle_shortest,
 )
+from lisrc.cli import run
 
 import bruteforce as bf
 from conftest import K22_NO, DETOUR
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestEnumerateFeasible:
@@ -71,7 +77,7 @@ class TestBuildReconfigGraph:
         graph = build_reconfig_graph(enumerate_feasible(seq, 3))
         assert len(graph.nodes) == 5
         assert graph.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
-        assert len(connected_components(graph)) == 1
+        assert len(bf.connectivity_partition(graph.nodes)) == 1
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
@@ -163,3 +169,57 @@ class TestOracleQueries:
             ps = build_piles(seq)
             for s in enumerate_feasible(seq, bf.lis_length(raw)):
                 assert sorted(ps.pile_of[i] for i in s) == list(range(1, ps.k + 1))
+
+    def test_maximum_mode_distances_match_reference_exhaustively(self):
+        for n in range(1, 7):
+            for raw in itertools.permutations(range(1, n + 1)):
+                seq = normalize(raw)
+                sets = bf.max_feasible_sets(raw)
+                for i_set, j_set in itertools.product(sets, repeat=2):
+                    expected = bf.swap_distance(sets, i_set, j_set)
+                    found = oracle_shortest(seq, i_set, j_set)
+                    if expected is None:
+                        assert found is None, (raw, i_set, j_set)
+                        continue
+                    length, rs = found
+                    assert length == expected, (raw, i_set, j_set)
+                    walk = list(bf.replay_sets(rs))
+                    assert walk[-1] == j_set and set(walk) <= set(sets)
+
+
+class TestImplicitSearch:
+    """Queries search the swap graph without building it."""
+
+    @pytest.fixture
+    def no_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a query materialised the swap graph")
+
+        monkeypatch.setattr(lisrc.oracle, "enumerate_feasible", refuse)
+        monkeypatch.setattr(lisrc.oracle, "build_reconfig_graph", refuse)
+
+    def test_queries_never_build_the_graph(self, no_graph, capsys):
+        detour, k22 = normalize(DETOUR[0]), normalize(K22_NO[0])
+        assert oracle_shortest(detour, DETOUR[1], DETOUR[2])[0] == 4
+        assert oracle_decide(detour, DETOUR[1], DETOUR[2]) is True
+        assert oracle_shortest(k22, K22_NO[1], K22_NO[2]) is None
+        assert oracle_decide(k22, K22_NO[1], K22_NO[2]) is False
+        for flags, name, first_line in [
+            (["--shortest"], "detour.txt", "4"),
+            (["--shortest"], "k22.txt", "NO"),
+            (["--general"], "detour.txt", "YES"),
+            (["--general"], "k22.txt", "NO"),
+        ]:
+            assert run(["oracle", *flags, str(DATA / name)]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == first_line
+
+    def test_stops_at_target_beyond_the_bound(self, no_graph):
+        # The identity at n = 40 has C(40, 20) increasing sets of size 20;
+        # J is one swap from I, so the search ends within I's neighbours.
+        seq = normalize(range(1, 41))
+        i_set, j_set = tuple(range(1, 21)), (*range(1, 20), 21)
+        with pytest.raises(TooLarge):
+            oracle_shortest(seq, i_set, j_set, maximum_only=False)
+        length, rs = oracle_shortest(seq, i_set, j_set, maximum_only=False, bound=40)
+        assert length == 1
+        assert rs.steps == (SwapStep(remove=20, add=21),)
