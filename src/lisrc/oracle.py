@@ -3,13 +3,14 @@
 The swap graph has the feasible sets of one size as nodes, adjacent when
 they differ in exactly one element.  `oracle_shortest` and
 `oracle_decide` search it breadth-first from I without building it:
-each set's neighbours are generated on the fly, and the search stops as
-soon as it discovers J, so a query visits only the sets of I's component
-that lie no farther from I than J does.  `enumerate_feasible` and
-`build_reconfig_graph` materialise every set and every edge; they serve
-`lisrc oracle --enumerate` and `--dot`.  Every entry point is guarded by
-a size bound, because the number of feasible sets can grow exponentially;
-callers may raise the bound explicitly.
+each set's neighbours are generated on the fly.  The search runs
+through I's whole component rather than stopping at J, so a query costs
+in proportion to the size of that component, not to how far J lies from
+I.  `enumerate_feasible` and `build_reconfig_graph` materialise every
+set and every edge; they serve `lisrc oracle --enumerate` and `--dot`.
+Every entry point is guarded by a size bound, because the number of
+feasible sets can grow exponentially; callers may raise the bound
+explicitly.
 
 >>> from lisrc.seqcore import normalize
 >>> oracle_shortest(normalize((7, 8, 5, 6)), (1, 2), (3, 4)) is None
@@ -145,7 +146,7 @@ def oracle_shortest(
     """Minimal swap count and one shortest sequence, or None if disconnected.
 
     Breadth-first from I over neighbours generated by `_neighbours`,
-    stopping when J is discovered.  In maximum mode every set of I's size
+    through I's whole component.  In maximum mode every set of I's size
     is maximum, so the search over all sets of that size is the search
     over maximum sets.
     """
@@ -155,13 +156,11 @@ def oracle_shortest(
     perm = (0, *seq.perm, seq.n + 1)
     prev: dict[FeasibleSet, FeasibleSet | None] = {members_i: None}
     queue = deque([members_i])
-    while members_j not in prev and queue:
+    while queue:
         s = queue.popleft()
         for t in _neighbours(perm, s):
             if t not in prev:
                 prev[t] = s
-                if t == members_j:
-                    break
                 queue.append(t)
     if members_j not in prev:
         return None

@@ -213,13 +213,13 @@ class TestImplicitSearch:
             assert run(["oracle", *flags, str(DATA / name)]) == 0
             assert capsys.readouterr().out.splitlines()[0] == first_line
 
-    def test_stops_at_target_beyond_the_bound(self, no_graph):
-        # The identity at n = 40 has C(40, 20) increasing sets of size 20;
-        # J is one swap from I, so the search ends within I's neighbours.
+    def test_raised_bound_admits_longer_sequences(self, no_graph):
+        # The identity at n = 40 has 40 increasing sets of size 39, one
+        # swap apart from each other: beyond the default bound, but small.
         seq = normalize(range(1, 41))
-        i_set, j_set = tuple(range(1, 21)), (*range(1, 20), 21)
+        i_set, j_set = tuple(range(1, 40)), (*range(1, 39), 40)
         with pytest.raises(TooLarge):
             oracle_shortest(seq, i_set, j_set, maximum_only=False)
         length, rs = oracle_shortest(seq, i_set, j_set, maximum_only=False, bound=40)
         assert length == 1
-        assert rs.steps == (SwapStep(remove=20, add=21),)
+        assert rs.steps == (SwapStep(remove=39, add=40),)
