@@ -40,7 +40,6 @@ from .piles import (
     PileSystem,
     build_piles,
     extract_canonical_max,
-    pile_coord,
 )
 from .reconfig import (
     Answer,
@@ -103,7 +102,6 @@ __all__ = [
     "normalize",
     "oracle_decide",
     "oracle_shortest",
-    "pile_coord",
     "precedes",
     "reconfigure",
     "require_feasible",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .piles import PileSystem, build_piles
-from .reconfig import ReconfSequence, SwapStep, _per_pile, require_pair
+from .reconfig import ReconfSequence, _per_pile, require_pair
 from .seqcore import Sequence, precedes
 
 # bench/spans.py wraps `is_feasible` in this namespace, so it stays
@@ -281,21 +281,30 @@ def shortest_sequence(
         return NoSequence(forbidden=pair)
     chosen_i = _per_pile(ps, members_i)
     chosen_j = _per_pile(ps, members_j)
-    forward: list[SwapStep] = []
-    backward: list[SwapStep] = []
+    # Elements of I leave and elements of J arrive, on both sides: an
+    # I-side swap is taken forward, a J-side swap is replayed inverted.
+    forward_out: list[int] = []
+    forward_in: list[int] = []
+    backward_out: list[int] = []
+    backward_in: list[int] = []
     for mp in mixed:
         if _fits(seq, chosen_i, mp.pile, mp.j_elem):
             chosen_i[mp.pile] = mp.j_elem
-            forward.append(SwapStep(remove=mp.i_elem, add=mp.j_elem))
+            forward_out.append(mp.i_elem)
+            forward_in.append(mp.j_elem)
         else:
             assert _fits(seq, chosen_j, mp.pile, mp.i_elem), (
                 "leftmost mixed pile must be swappable"
             )
             chosen_j[mp.pile] = mp.i_elem
-            backward.append(SwapStep(remove=mp.j_elem, add=mp.i_elem))
+            backward_out.append(mp.i_elem)
+            backward_in.append(mp.j_elem)
     assert chosen_i == chosen_j
-    steps = tuple(forward) + tuple(step.inverted() for step in reversed(backward))
-    return ReconfSequence(start=members_i, steps=steps)
+    return ReconfSequence(
+        start=members_i,
+        removed=tuple(forward_out + backward_out[::-1]),
+        added=tuple(forward_in + backward_in[::-1]),
+    )
 
 
 def _fits(seq: Sequence, chosen: list[int], t: int, x: int) -> bool:

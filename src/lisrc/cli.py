@@ -198,38 +198,39 @@ def _fmt_set(s: Iterable[int]) -> str:
     return "{" + ",".join(str(i) for i in s) + "}"
 
 
-def _labels(rs: ReconfSequence) -> dict[int, str]:
-    """Each index that occurs along the walk, formatted once."""
-    label = {i: str(i) for i in rs.start}
-    for step in rs.steps:
-        if step.add not in label:
-            label[step.add] = str(step.add)
-    return label
+def _render_walk(rs: ReconfSequence, swaps: bool = True) -> Iterator[str]:
+    """The text walk line by line: the start set, then one line per swap.
 
+    A swap line reads `swap a -> b: {set after}`, or with swaps=False just
+    `{set after}`.  Lazy, so the JSON path never renders the walk and the
+    text path holds one set at a time.  The label strings of the members
+    are kept in a list parallel to the sorted members of the walk's
+    replay and edited at the same slots, so each index is formatted once
+    when it enters the set and each line costs O(k), the size of its
+    text.  A step that does not apply raises ValueError.
 
-def _set_texts(rs: ReconfSequence, label: dict[int, str]) -> Iterator[str]:
-    """Every set along the walk as `{i,j,...}`, through the one replay."""
-    for cur in rs.sets():
-        yield "{" + ",".join(map(label.__getitem__, cur)) + "}"
-
-
-def _render_walk(rs: ReconfSequence) -> Iterator[str]:
-    """The text walk line by line: length, start set, one line per swap.
-
-    Lazy, so the JSON path never replays the walk and the text path
-    holds one set at a time; each line costs O(k), the size of its text.
+    >>> walk = ReconfSequence(start=(1, 3), removed=(1, 3), added=(2, 4))
+    >>> for line in _render_walk(walk):
+    ...     print(line)
+    {1,3}
+    swap 1 -> 2: {2,3}
+    swap 3 -> 4: {2,4}
+    >>> list(_render_walk(walk, swaps=False))
+    ['{1,3}', '{2,3}', '{2,4}']
     """
-    label = _labels(rs)
-    texts = _set_texts(rs, label)
-    yield f"length {len(rs)}"
-    yield next(texts)
-    for text, step in zip(texts, rs.steps):
-        yield f"swap {label[step.remove]} -> {label[step.add]}: {text}"
+    labels = list(map(str, sorted(rs.start)))
+    yield "{" + ",".join(labels) + "}"
+    for cur, i, j in rs._replay():
+        gone = labels.pop(i)
+        label = str(cur[j])
+        labels.insert(j, label)
+        text = "{" + ",".join(labels) + "}"
+        yield f"swap {gone} -> {label}: {text}" if swaps else text
 
 
 def _steps_json(rs: ReconfSequence) -> list[dict]:
     """The walk's steps for `--json`; built only on that path."""
-    return [{"remove": s.remove, "add": s.add} for s in rs.steps]
+    return [{"remove": r, "add": a} for r, a in zip(rs.removed, rs.added)]
 
 
 def dot_permutation_graph(seq: Sequence, g: bp.PermutationGraph) -> str:
@@ -300,7 +301,7 @@ def _cmd_reconfigure(args) -> int:
         if args.json:
             payload["steps"] = _steps_json(walk)
             payload["length"] = len(walk)
-        lines = chain(lines, _render_walk(walk))
+        lines = chain(lines, [f"length {len(walk)}"], _render_walk(walk))
     _emit(args, payload, lines)
     return _yesno_status(args, yes)
 
@@ -335,7 +336,8 @@ def _cmd_shortest(args) -> int:
     payload: dict = {"answer": "yes"}
     if args.json:
         payload.update(steps=_steps_json(result), length=len(result))
-    _emit(args, payload, chain(["YES"], _render_walk(result)))
+    lines = chain(["YES", f"length {len(result)}"], _render_walk(result))
+    _emit(args, payload, lines)
     return _yesno_status(args, True)
 
 
@@ -387,7 +389,7 @@ def _cmd_oracle(args) -> int:
         payload = {"answer": "yes", "length": length}
         if args.json:
             payload["steps"] = _steps_json(rs)
-        _emit(args, payload, chain([str(length)], _set_texts(rs, _labels(rs))))
+        _emit(args, payload, chain([str(length)], _render_walk(rs, swaps=False)))
         return _yesno_status(args, True)
     yes = orc.oracle_decide(seq, i_set, j_set, maximum_only, bound)
     _emit(args, {"answer": "yes" if yes else "no"}, ["YES" if yes else "NO"])

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 from .errors import SizeMismatch, TooLarge
 from .piles import build_piles
-from .reconfig import ReconfSequence, SwapStep, require_pair
+from .reconfig import ReconfSequence, require_pair
 from .seqcore import FeasibleSet, Sequence
 
 DEFAULT_BOUND = 16
@@ -52,25 +52,36 @@ def _check_bound(seq: Sequence, bound: int) -> None:
 def enumerate_feasible(
     seq: Sequence, size: int, bound: int = DEFAULT_BOUND
 ) -> list[FeasibleSet]:
-    """Every feasible set of the given cardinality, lexicographically sorted."""
+    """Every feasible set of the given cardinality, lexicographically sorted.
+
+    A depth-first search over increasing prefixes, trying indices in
+    ascending order, so the sets come out sorted.  The search keeps its
+    own stack, one index range per prefix member, so the prefix length
+    (up to n) is not bounded by Python's recursion limit.
+    """
     _check_bound(seq, bound)
     if size == 0:
         return [()]
+    perm, n = seq.perm, seq.n
     out: list[FeasibleSet] = []
-
-    def extend(prefix: list[int], last_value: int, start: int) -> None:
-        if len(prefix) == size:
-            out.append(tuple(prefix))
-            return
-        # Leave enough positions to still reach the target size.
-        for i in range(start, seq.n - (size - len(prefix)) + 2):
-            if seq.value(i) > last_value:
+    prefix: list[int] = []
+    # ranges[m]: the indices still to try at position m of the prefix,
+    # leaving enough positions after them to reach the target size.
+    ranges = [iter(range(1, n - size + 2))]
+    while ranges:
+        last_value = perm[prefix[-1] - 1] if prefix else 0
+        for i in ranges[-1]:
+            if perm[i - 1] > last_value:
+                if len(prefix) + 1 == size:
+                    out.append((*prefix, i))
+                    continue
                 prefix.append(i)
-                extend(prefix, seq.value(i), i + 1)
+                ranges.append(iter(range(i + 1, n - size + len(prefix) + 2)))
+                break
+        else:
+            ranges.pop()
+            if prefix:
                 prefix.pop()
-
-    extend([], 0, 1)
-    out.sort()
     return out
 
 
@@ -164,12 +175,16 @@ def oracle_shortest(
                 queue.append(t)
     if members_j not in prev:
         return None
-    steps = []
+    removed: list[int] = []
+    added: list[int] = []
     t = members_j
     while (s := prev[t]) is not None:
         (out,) = set(s) - set(t)
         (into,) = set(t) - set(s)
-        steps.append(SwapStep(remove=out, add=into))
+        removed.append(out)
+        added.append(into)
         t = s
-    steps.reverse()
-    return len(steps), ReconfSequence(start=members_i, steps=tuple(steps))
+    walk = ReconfSequence(
+        start=members_i, removed=tuple(removed[::-1]), added=tuple(added[::-1])
+    )
+    return len(walk), walk

@@ -23,7 +23,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import IndexOutOfRange
 from .seqcore import FeasibleSet, Sequence
 
 
@@ -120,13 +119,6 @@ def build_piles(seq: Sequence) -> PileSystem:
             piles[t].append(i)
             tops[t] = v
     return PileSystem(piles=tuple(map(tuple, piles)))
-
-
-def pile_coord(ps: PileSystem, i: int) -> tuple[int, int]:
-    """(pile id, depth from the bottom) of element index i; 0 is the sentinel."""
-    if not 0 <= i <= ps.n:
-        raise IndexOutOfRange(i, ps.n)
-    return ps.pile_of[i], ps.depth_of[i]
 
 
 def extract_canonical_max(ps: PileSystem) -> FeasibleSet:

@@ -40,34 +40,43 @@ class SwapStep:
     remove: int
     add: int
 
-    def inverted(self) -> "SwapStep":
-        return SwapStep(remove=self.add, add=self.remove)
-
 
 @dataclass(frozen=True)
 class ReconfSequence:
-    """A start set plus an ordered list of single swaps."""
+    """A start set plus an ordered list of single swaps, stored flat.
+
+    Step t drops `removed[t]` and inserts `added[t]`; the two tuples have
+    equal length.  A walk of L steps thus holds 2L ints and no per-step
+    object; `steps` builds the `SwapStep` view on demand.
+    """
 
     start: FeasibleSet
-    steps: tuple[SwapStep, ...]
+    removed: tuple[int, ...]
+    added: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.removed) != len(self.added):
+            raise ValueError(
+                f"{len(self.removed)} removed but {len(self.added)} added indices"
+            )
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.removed)
+
+    @property
+    def steps(self) -> tuple[SwapStep, ...]:
+        """The swaps as `SwapStep` objects, built on each access."""
+        return tuple(map(SwapStep, self.removed, self.added))
 
     def sets(self) -> Iterator[FeasibleSet]:
         """Yield every set along the sequence, the start included.
 
-        One sorted list is kept and edited in place: each step finds
-        `remove` and the slot of `add` by binary search, then deletes and
-        inserts, O(k) per step, so the whole replay costs what printing
-        its sets costs.  `add` may land in another slot than `remove`
-        left, as in walks between non-maximum sets.  A step that does
-        not apply raises the ValueError of `apply_step`, after the sets
-        before it were yielded.
+        The replay of `_replay`, O(k) per step, so the whole replay costs
+        what printing its sets costs.  A step that does not apply raises
+        ValueError, after the sets before it were yielded.
 
-        >>> walk = ReconfSequence(start=(1, 3, 5), steps=(
-        ...     SwapStep(remove=1, add=2), SwapStep(remove=3, add=4),
-        ...     SwapStep(remove=5, add=7), SwapStep(remove=4, add=6)))
+        >>> walk = ReconfSequence(start=(1, 3, 5), removed=(1, 3, 5, 4),
+        ...                       added=(2, 4, 7, 6))
         >>> for s in walk.sets():
         ...     print(s)
         (1, 3, 5)
@@ -77,17 +86,33 @@ class ReconfSequence:
         (2, 6, 7)
         """
         yield self.start
+        for cur, _, _ in self._replay():
+            yield tuple(cur)
+
+    def _replay(self) -> Iterator[tuple[list[int], int, int]]:
+        """Apply the steps to one sorted list, edited in place.
+
+        After each step, yields the list, the slot `remove` left and the
+        slot `add` took.  Each step finds `remove` and the slot of `add`
+        by binary search, then deletes and inserts, O(k).  `add` may land
+        in another slot than `remove` left, as in walks between
+        non-maximum sets.  A step that does not apply raises ValueError.
+        `sets` and the CLI's text walk both read this one replay.
+        """
         cur = sorted(self.start)
         size = len(cur)
-        for step in self.steps:
-            remove, add = step.remove, step.add
+        for remove, add in zip(self.removed, self.added):
             i = bisect_left(cur, remove)
             j = bisect_left(cur, add)
             if i == size or cur[i] != remove or (j < size and cur[j] == add):
-                raise ValueError(f"step {step} does not apply to {tuple(cur)}")
+                raise ValueError(
+                    f"swap {remove} -> {add} does not apply to {tuple(cur)}"
+                )
+            if j > i:
+                j -= 1
             del cur[i]
-            cur.insert(j - 1 if j > i else j, add)
-            yield tuple(cur)
+            cur.insert(j, add)
+            yield cur, i, j
 
     def end(self) -> FeasibleSet:
         """The last set of the sequence, by the replay of `sets`."""
@@ -231,10 +256,11 @@ def downward_moves(
 
 def minimal_set(
     seq: Sequence, ps: PileSystem, s: Iterable[int]
-) -> tuple[FeasibleSet, list[SwapStep]]:
+) -> tuple[FeasibleSet, ReconfSequence]:
     """Greedy descent to the unique set admitting no downward move.
 
-    Returns the fixed point and the executed trace.  Equivalent to
+    Returns the fixed point and the executed descent, a walk from `s`
+    whose length is the move count.  Equivalent to
     repeatedly applying the first entry of `downward_moves`, but a pile
     is only re-examined after one of its neighbors changes, and each
     examination searches only the depths below the member's own
@@ -247,7 +273,8 @@ def minimal_set(
     perm, piles, k = seq.perm, ps.piles, ps.k
     depth = [bisect_left(pile, i) for pile, i in zip(piles, chosen)]
     last_value = seq.n + 1
-    trace: list[SwapStep] = []
+    removed: list[int] = []
+    added: list[int] = []
     # Piles of size 1 can never move; seed the worklist with the rest.
     heap = [t for t in range(1, k + 1) if len(piles[t]) > 1]
     heapify(heap)
@@ -261,7 +288,8 @@ def minimal_set(
         lo = _lowest_depth(perm, pile_idx, chosen[t - 1], right_value, d)
         if lo < d:
             u = pile_idx[lo]
-            trace.append(SwapStep(remove=chosen[t], add=u))
+            removed.append(chosen[t])
+            added.append(u)
             chosen[t] = u
             depth[t] = lo
             # Only the two pile neighbors gain new room to move.
@@ -269,7 +297,10 @@ def minimal_set(
                 heappush(heap, t - 1)
             if t < k and len(piles[t + 1]) > 1:
                 heappush(heap, t + 1)
-    return tuple(sorted(chosen[1:])), trace
+    descent = ReconfSequence(
+        start=members, removed=tuple(removed), added=tuple(added)
+    )
+    return tuple(sorted(chosen[1:])), descent
 
 
 @dataclass(frozen=True)
@@ -289,16 +320,21 @@ class Answer:
 def reconfigure(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> Answer:
     """Descend both maximum feasible sets to their representatives.
 
-    The one computation behind `decide`, `witness` and the CLI.
+    The one computation behind `decide`, `witness` and the CLI.  The walk
+    is I's descent followed by J's descent run backwards, each of its
+    swaps inverted: joined by slicing the flat step tuples.
     """
     ps = build_piles(seq)
     members_i, members_j = require_pair(seq, ps, i_set, j_set)
-    m_i, trace_i = minimal_set(seq, ps, members_i)
-    m_j, trace_j = minimal_set(seq, ps, members_j)
+    m_i, d_i = minimal_set(seq, ps, members_i)
+    m_j, d_j = minimal_set(seq, ps, members_j)
     walk = None
     if m_i == m_j:
-        steps = tuple(trace_i) + tuple(step.inverted() for step in reversed(trace_j))
-        walk = ReconfSequence(start=members_i, steps=steps)
+        walk = ReconfSequence(
+            start=members_i,
+            removed=d_i.removed + d_j.added[::-1],
+            added=d_i.added + d_j.removed[::-1],
+        )
     return Answer(minimal_i=m_i, minimal_j=m_j, walk=walk)
 
 

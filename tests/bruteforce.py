@@ -1,7 +1,8 @@
 """Naive reference implementations the tests cross-check the package against.
 
 Everything here works straight off the raw value list, or straight off
-the fields of a walk, so it shares no code path with the package.
+the fields of a walk or a pile system, so it shares no code path with
+the package.
 Exponential, except `lis_length`, `deal_reference`, `rank_normalize`,
 `scan_int_tokens`, `require_pair`, `two_coloring`, `replay_sets`,
 `render_walk` and the staircase builders; keep n small.
@@ -363,6 +364,13 @@ def forbidden_pair_scan(raw):
     return first
 
 
+def pile_coord(ps, i):
+    """(pile id, depth from the bottom) of element index i; 0 is the sentinel."""
+    if not 0 <= i <= ps.n:
+        raise IndexOutOfRange(i, ps.n)
+    return ps.pile_of[i], ps.depth_of[i]
+
+
 def random_perm(rng, n):
     values = list(range(1, n + 1))
     rng.shuffle(values)
@@ -377,10 +385,10 @@ def replay_sets(rs):
     """
     cur = rs.start
     yield cur
-    for step in rs.steps:
-        if step.remove not in cur or step.add in cur:
-            raise ValueError(f"step {step} does not apply to {cur}")
-        cur = tuple(sorted(set(cur) - {step.remove} | {step.add}))
+    for remove, add in zip(rs.removed, rs.added):
+        if remove not in cur or add in cur:
+            raise ValueError(f"swap {remove} -> {add} does not apply to {cur}")
+        cur = tuple(sorted(set(cur) - {remove} | {add}))
         yield cur
 
 
@@ -392,8 +400,8 @@ def render_walk(rs):
     """The text walk as a list of lines: length, start set, one line per swap."""
     lines = [f"length {len(rs)}", fmt_set(rs.start)]
     sets = list(replay_sets(rs))
-    for step, cur in zip(rs.steps, sets[1:]):
-        lines.append(f"swap {step.remove} -> {step.add}: {fmt_set(cur)}")
+    for remove, add, cur in zip(rs.removed, rs.added, sets[1:]):
+        lines.append(f"swap {remove} -> {add}: {fmt_set(cur)}")
     return lines
 
 

@@ -7,6 +7,7 @@ The file is loaded by path and only read.
 """
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -29,4 +30,6 @@ def test_tracer_targets_resolve():
     ]
     assert missing == []
     reconfig = importlib.import_module("lisrc.reconfig")
-    assert callable(reconfig.ReconfSequence.sets)
+    # The tracer wraps `sets` as a generator: a span from its first item
+    # to its exhaustion.
+    assert inspect.isgeneratorfunction(reconfig.ReconfSequence.sets)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +26,7 @@ from lisrc import (
     witness,
 )
 import lisrc.cli
+import lisrc.reconfig
 from lisrc.bipartite import decreasing_triple
 from lisrc.cli import (
     _int_tokens,
@@ -618,6 +620,39 @@ class TestWalkText:
         assert run(["oracle", "--shortest", *flags, files[name]]) == 0
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
+    def test_walk_at_workload_scale(self, tmp_path, capsys):
+        # A 20-pile staircase of height 500, I the top row and J a random
+        # maximum set near mid-height: a walk of thousands of swaps.
+        raw, grid = bf.staircase(20, 500)
+        rng = random.Random(20)
+        depth = rng.randrange(230, 270)
+        depths = []
+        for _ in grid:
+            depths.append(depth)
+            depth += rng.choice((-1, 0, 1))
+        i_set = tuple(row[-1] for row in grid)
+        j_set = tuple(row[d] for row, d in zip(grid, depths))
+        seq = normalize(raw)
+        path = tmp_path / "stairs.txt"
+        path.write_text(format_instance(seq, i_set, j_set))
+        rs = witness(seq, i_set, j_set)
+        assert len(rs) > 5000
+        assert run(["witness", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == "\n".join(["YES", *bf.render_walk(rs)]) + "\n"
+
+        assert run(["witness", "--json", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        steps = payload["steps"]
+        assert payload["length"] == len(steps) == len(rs)
+        walk = SimpleNamespace(
+            start=i_set,
+            removed=[s["remove"] for s in steps],
+            added=[s["add"] for s in steps],
+        )
+        *_, end = bf.replay_sets(walk)
+        assert end == j_set
+
     def test_text_walk_is_streamed(self, tmp_path):
         # The witness of `2 1 4 3 ...` at n = 4000 is about 19 MB of text;
         # written as it is produced, it never sits in memory whole.
@@ -632,3 +667,52 @@ class TestWalkText:
             tracemalloc.stop()
         assert sink.size > 18_000_000
         assert peak < sink.size / 5, (peak, sink.size)
+
+
+class TestNoStepObjects:
+    """The CLI renders walks from their flat fields, text and `--json` alike."""
+
+    CASES = [
+        ["witness", DETOUR_FILE],
+        ["witness", BIP_FILE],
+        ["shortest", BIP_FILE],
+        ["oracle", "--shortest", DETOUR_FILE],
+        ["oracle", "--shortest", "--general", BIP_FILE],
+    ]
+
+    def test_walks_build_no_swap_step(self, capsys, monkeypatch):
+        argvs = [[*argv, *flag] for argv in self.CASES for flag in ([], ["--json"])]
+        expected = []
+        for argv in argvs:
+            assert run(argv) == 0
+            out = capsys.readouterr().out
+            if "--json" in argv:
+                assert json.loads(out)["steps"]
+            else:
+                assert len(out.splitlines()) > 3
+            expected.append(out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SwapStep built on a CLI path")
+
+        monkeypatch.setattr(lisrc.reconfig, "SwapStep", refuse)
+        for argv, out in zip(argvs, expected):
+            assert run(argv) == 0
+            assert capsys.readouterr().out == out
+
+
+class TestEnumerateDeep:
+    def test_one_set_of_3000_members(self, tmp_path, capsys):
+        # I = J = all of 1 2 ... 3000: the only increasing 3000-set, found
+        # through a prefix 3000 members long.
+        n = 3000
+        path = tmp_path / "identity.txt"
+        everything = range(1, n + 1)
+        path.write_text(format_instance(normalize(everything), everything, everything))
+        argv = ["oracle", "--enumerate", "--max-oracle-n", "5000", str(path)]
+        assert run([*argv[:2], "--json", *argv[2:]]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["count"] == 1
+        assert payload["sets"] == [list(everything)]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == bf.fmt_set(everything) + "\n"

@@ -16,7 +16,6 @@ from lisrc import (
     minimal_set,
     mixed_piles,
     normalize,
-    pile_coord,
 )
 
 import bruteforce as bf
@@ -75,7 +74,7 @@ class TestBuildPiles:
                 for a, b in zip(pile, pile[1:]):
                     assert a < b and seq.value(a) > seq.value(b)
                 for d, i in enumerate(pile):
-                    assert pile_coord(ps, i) == (t, d)
+                    assert bf.pile_coord(ps, i) == (t, d)
             for i in range(1, seq.n + 1):
                 b = ps.blocker[i]
                 assert ps.pile_of[b] == ps.pile_of[i] - 1
@@ -188,17 +187,17 @@ class TestExtractCanonicalMax:
 class TestPileCoord:
     def test_above_bottom(self):
         ps = build_piles(normalize(K22_NO[0]))
-        assert pile_coord(ps, 3) == (1, 1)
+        assert bf.pile_coord(ps, 3) == (1, 1)
 
     def test_sentinel(self):
         ps = build_piles(normalize(K22_NO[0]))
-        assert pile_coord(ps, 0) == (0, 0)
+        assert bf.pile_coord(ps, 0) == (0, 0)
 
     def test_deep_entry(self):
         ps = build_piles(normalize(DETOUR[0]))
-        assert pile_coord(ps, 6) == (2, 2)
+        assert bf.pile_coord(ps, 6) == (2, 2)
 
     def test_out_of_range(self):
         ps = build_piles(normalize(K22_NO[0]))
         with pytest.raises(IndexOutOfRange):
-            pile_coord(ps, 5)
+            bf.pile_coord(ps, 5)

@@ -40,12 +40,14 @@ def naive_downward_moves(seq, ps, s):
 
 def naive_descent(seq, ps, s):
     """Reference greedy: re-derive all moves and apply the first each round."""
-    cur = tuple(sorted(s))
+    start = cur = tuple(sorted(s))
     trace = []
     while True:
         moves = downward_moves(seq, ps, cur)
         if not moves:
-            return cur, trace
+            removed = tuple(m.remove for m in trace)
+            added = tuple(m.add for m in trace)
+            return cur, ReconfSequence(start=start, removed=removed, added=added)
         trace.append(moves[0])
         cur = apply_step(cur, moves[0])
 
@@ -119,24 +121,34 @@ class TestMinimalSet:
     def test_fixed_point_immediately(self):
         seq = normalize(K22_NO[0])
         ps = build_piles(seq)
-        assert minimal_set(seq, ps, (1, 2)) == ((1, 2), [])
+        assert minimal_set(seq, ps, (1, 2)) == (
+            (1, 2),
+            ReconfSequence(start=(1, 2), removed=(), added=()),
+        )
 
     def test_fixed_point_despite_depths(self):
         seq = normalize(K22_NO[0])
         ps = build_piles(seq)
-        assert minimal_set(seq, ps, (3, 4)) == ((3, 4), [])
+        assert minimal_set(seq, ps, (3, 4)) == (
+            (3, 4),
+            ReconfSequence(start=(3, 4), removed=(), added=()),
+        )
 
     def test_four_step_descent(self):
         seq = normalize(DETOUR[0])
         ps = build_piles(seq)
         m, trace = minimal_set(seq, ps, (2, 6, 7))
         assert m == (1, 3, 5)
-        assert trace == [
+        assert trace == ReconfSequence(
+            start=(2, 6, 7), removed=(6, 7, 4, 2), added=(4, 5, 3, 1)
+        )
+        assert len(trace) == 4
+        assert trace.steps == (
             SwapStep(remove=6, add=4),
             SwapStep(remove=7, add=5),
             SwapStep(remove=4, add=3),
             SwapStep(remove=2, add=1),
-        ]
+        )
 
     def test_rejects_non_maximum(self):
         seq = normalize(DETOUR[0])
@@ -159,8 +171,9 @@ class TestMinimalSet:
             total_depth = sum(ps.depth_of[i] for i in s)
             assert len(trace) <= total_depth
             cur = tuple(sorted(s))
+            assert trace.start == cur
             depth = total_depth
-            for step in trace:
+            for step in trace.steps:
                 cur = apply_step(cur, step)
                 assert is_maximum_feasible(seq, cur)
                 new_depth = sum(ps.depth_of[i] for i in cur)
@@ -259,7 +272,8 @@ class TestWitness:
 
     def test_identical_sets(self):
         rs = witness(normalize(K22_NO[0]), (1, 2), (1, 2))
-        assert rs.steps == () and rs.end() == (1, 2)
+        assert rs.removed == rs.added == () and rs.steps == ()
+        assert rs.end() == (1, 2)
 
     def test_no_instance(self):
         assert witness(normalize(K22_NO[0]), (1, 2), (3, 4)) is None
@@ -300,10 +314,8 @@ class TestApplyStep:
             apply_step((1, 3), SwapStep(remove=1, add=3))
 
     def test_sequence_replay(self):
-        rs = ReconfSequence(
-            start=(1, 3, 5),
-            steps=(SwapStep(remove=1, add=2), SwapStep(remove=3, add=4)),
-        )
+        rs = ReconfSequence(start=(1, 3, 5), removed=(1, 3), added=(2, 4))
+        assert rs.steps == (SwapStep(remove=1, add=2), SwapStep(remove=3, add=4))
         assert list(rs.sets()) == [(1, 3, 5), (2, 3, 5), (2, 4, 5)]
         assert rs.end() == (2, 4, 5)
 
@@ -341,7 +353,7 @@ def random_walks(draw, universe=12):
     """Walks over 1..universe whose steps mostly apply; some are arbitrary."""
     start = draw(st.sets(st.integers(1, universe), max_size=6))
     cur = set(start)
-    steps = []
+    removed, added = [], []
     for _ in range(draw(st.integers(0, 10))):
         outside = sorted(set(range(1, universe + 1)) - cur)
         if cur and outside and draw(st.integers(0, 7)):
@@ -351,22 +363,26 @@ def random_walks(draw, universe=12):
         else:
             remove = draw(st.integers(1, universe))
             add = draw(st.integers(1, universe))
-        steps.append(SwapStep(remove=remove, add=add))
-    return ReconfSequence(start=tuple(sorted(start)), steps=tuple(steps))
+        removed.append(remove)
+        added.append(add)
+    return ReconfSequence(
+        start=tuple(sorted(start)), removed=tuple(removed), added=tuple(added)
+    )
 
 
 @st.composite
 def corrupted(draw, rs):
     """The walk, or the walk with one step swapped for an arbitrary one."""
-    if not rs.steps or draw(st.booleans()):
+    if not rs or draw(st.booleans()):
         return rs
-    steps = list(rs.steps)
-    at = draw(st.integers(0, len(steps) - 1))
-    bound = max(max(rs.start, default=1), max(s.add for s in steps))
-    steps[at] = SwapStep(
-        remove=draw(st.integers(1, bound)), add=draw(st.integers(1, bound))
+    removed, added = list(rs.removed), list(rs.added)
+    at = draw(st.integers(0, len(rs) - 1))
+    bound = max(max(rs.start, default=1), max(added))
+    removed[at] = draw(st.integers(1, bound))
+    added[at] = draw(st.integers(1, bound))
+    return ReconfSequence(
+        start=rs.start, removed=tuple(removed), added=tuple(added)
     )
-    return ReconfSequence(start=rs.start, steps=tuple(steps))
 
 
 # What these check is the outcome, not the time an example takes.
@@ -407,18 +423,16 @@ class TestReplay:
             check_replay(data.draw(corrupted(found[1])))
 
     def test_add_changes_slot(self):
-        rs = ReconfSequence(
-            start=(1, 3, 5),
-            steps=(SwapStep(remove=1, add=4), SwapStep(remove=5, add=2)),
-        )
+        rs = ReconfSequence(start=(1, 3, 5), removed=(1, 5), added=(4, 2))
         assert list(rs.sets()) == [(1, 3, 5), (3, 4, 5), (2, 3, 4)]
         assert rs.end() == (2, 3, 4)
 
+    def test_fields_of_unequal_length(self):
+        with pytest.raises(ValueError, match="2 removed but 1 added"):
+            ReconfSequence(start=(1, 3), removed=(1, 3), added=(2,))
+
     def test_step_that_does_not_apply(self):
-        rs = ReconfSequence(
-            start=(1, 3),
-            steps=(SwapStep(remove=1, add=2), SwapStep(remove=3, add=2)),
-        )
+        rs = ReconfSequence(start=(1, 3), removed=(1, 3), added=(2, 2))
         sets = rs.sets()
         assert next(sets) == (1, 3) and next(sets) == (2, 3)
         with pytest.raises(ValueError, match=r"does not apply to \(2, 3\)"):
