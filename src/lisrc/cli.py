@@ -8,7 +8,7 @@ Instance file format, three data lines::
     3 4         <- index set J, 1-based
 
 A value or index is an optional `-` followed by ASCII digits; any
-whitespace separates them.
+whitespace separates them.  The file is read as UTF-8.
 
 Exit status is 0 on success and 2 on any error, a stdout whose reader
 has left included (that one without a message).  With --exit-status the
@@ -281,8 +281,24 @@ def _yesno_status(args, yes: bool) -> int:
 
 
 def _load(args, require_sets: bool = True):
-    with open(args.instance, encoding="utf-8") as handle:
-        return parse_instance(handle.read(), require_sets=require_sets)
+    return parse_instance(_read_utf8(args.instance), require_sets=require_sets)
+
+
+def _read_utf8(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 raise a ParseError."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; count its line and column
+        # in them the way parse_instance counts in text.
+        lines = (data[: exc.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(
+            len(lines),
+            len(lines[-1]),
+            f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}",
+        ) from None
 
 
 def _cmd_reconfigure(args) -> int:

@@ -2,8 +2,13 @@
 
 The swap graph has the feasible sets of one size as nodes, adjacent when
 they differ in exactly one element.  `oracle_shortest` and
-`oracle_decide` search it breadth-first from I without building it:
-each set's neighbours are generated on the fly.  The search runs
+`oracle_decide` search it breadth-first from I without building it.
+A state is an int bitmask over the indices 1..n, and its neighbours are
+read off two tables of per-index masks built once per query (which later
+indices hold a larger value, which earlier ones a smaller), at a cost of
+O(k + degree) big-int operations per state for sets of size k; the
+neighbour order, and so the walk found, is that of dropping each member
+in turn and adding each index that fits, lowest first.  The search runs
 through I's whole component rather than stopping at J, so a query costs
 in proportion to the size of that component, not to how far J lies from
 I.  `enumerate_feasible` and `build_reconfig_graph` materialise every
@@ -24,9 +29,8 @@ True
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import SizeMismatch, TooLarge
 from .piles import build_piles
@@ -112,28 +116,31 @@ def build_reconfig_graph(sets: Iterable[FeasibleSet]) -> ReconfGraph:
     return ReconfGraph(nodes=tuple(nodes), edges=tuple(sorted(edges)))
 
 
-def _neighbours(perm: tuple[int, ...], s: FeasibleSet) -> Iterator[FeasibleSet]:
-    """Every feasible set one swap away from the sorted set `s`.
+def _mask_tables(perm: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Per-index bitmasks over the permutation framed by its sentinels.
 
-    `perm` is the permutation framed by its sentinels: 0 at index 0 and
-    n + 1 at index n + 1.  Dropping `s[r]` leaves `rest`; an index
-    strictly inside a gap (lo, hi) of the framed `rest` keeps it
-    increasing exactly when its value lies between perm[lo] and
-    perm[hi], and inserting it at that gap keeps the tuple sorted.  A
-    neighbour determines both the dropped member and the added index, so
-    each one is generated once.
+    With 0 at index 0 and n + 1 at index n + 1, `later_larger[i]` has bit
+    j set for every j > i whose value exceeds that at i, and
+    `earlier_smaller[i]` bit j for every j < i whose value is below it.
+    Each table is filled in one pass over the values, by one growing
+    mask of the indices seen so far, so it costs O(n) big-int operations.
     """
-    last = len(perm) - 1
-    for r, out in enumerate(s):
-        rest = s[:r] + s[r + 1 :]
-        frame = (0, *rest, last)
-        for g in range(len(rest) + 1):
-            lo, hi = frame[g], frame[g + 1]
-            low, high = perm[lo], perm[hi]
-            head, tail = rest[:g], rest[g:]
-            for into in range(lo + 1, hi):
-                if into != out and low < perm[into] < high:
-                    yield head + (into,) + tail
+    n = len(perm)
+    where = [0] * (n + 2)
+    for i, v in enumerate(perm, start=1):
+        where[v] = i
+    where[n + 1] = n + 1
+    earlier_smaller = [0] * (n + 2)
+    seen = 0
+    for i in where:
+        earlier_smaller[i] = seen & ((1 << i) - 1)
+        seen |= 1 << i
+    later_larger = [0] * (n + 2)
+    seen = 0
+    for i in reversed(where):
+        later_larger[i] = seen >> (i + 1) << (i + 1)
+        seen |= 1 << i
+    return later_larger, earlier_smaller
 
 
 def oracle_decide(
@@ -156,33 +163,65 @@ def oracle_shortest(
 ) -> tuple[int, ReconfSequence] | None:
     """Minimal swap count and one shortest sequence, or None if disconnected.
 
-    Breadth-first from I over neighbours generated by `_neighbours`,
-    through I's whole component.  In maximum mode every set of I's size
-    is maximum, so the search over all sets of that size is the search
-    over maximum sets.
+    Breadth-first from I through I's whole component.  In maximum mode
+    every set of I's size is maximum, so the search over all sets of
+    that size is the search over maximum sets.
+
+    A state is an int with bit i set for each member i.  Framed by the
+    sentinels 0 and n + 1, members s_1 < ... < s_k leave k + 1 gaps, and
+    the gap between s_g and s_g+1 admits exactly the indices
+    `later_larger[s_g] & earlier_smaller[s_g+1]` (`_mask_tables`); `union`
+    ORs all k + 1 of them.  Dropping s_r merges its two gaps into the one
+    between s_r-1 and s_r+1, whose mask `merged` contains both of them
+    and s_r itself, so the indices that may replace s_r are
+    `(union | merged) ^ bit(s_r)`.  A state thus costs O(k + degree)
+    big-int operations: its members are decoded and its gaps ANDed once.
+    Candidates are taken lowest bit first, and the gaps of the set left
+    after the drop are disjoint ranges of consecutive indices in
+    ascending order, so neighbours come in the order dropped member,
+    then gap, then index; the walk found is fixed by that order.  Each
+    neighbour determines its dropped member and added index, so it is
+    generated once.
     """
     _check_bound(seq, bound)
     ps = build_piles(seq) if maximum_only else None
     members_i, members_j = require_pair(seq, ps, i_set, j_set)
-    perm = (0, *seq.perm, seq.n + 1)
-    prev: dict[FeasibleSet, FeasibleSet | None] = {members_i: None}
-    queue = deque([members_i])
-    while queue:
-        s = queue.popleft()
-        for t in _neighbours(perm, s):
-            if t not in prev:
-                prev[t] = s
-                queue.append(t)
-    if members_j not in prev:
+    later_larger, earlier_smaller = _mask_tables(seq.perm)
+    top = seq.n + 1
+    start = sum(1 << i for i in members_i)
+    prev: dict[int, int | None] = {start: None}
+    # The list grows while it is walked, so the walk is a FIFO queue.
+    order = [start]
+    for s in order:
+        members = [0]
+        rest = s
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        members.append(top)
+        union = 0
+        for lo, hi in zip(members, members[1:]):
+            union |= later_larger[lo] & earlier_smaller[hi]
+        for lo, member, hi in zip(members, members[1:], members[2:]):
+            out = 1 << member
+            into = (union | (later_larger[lo] & earlier_smaller[hi])) ^ out
+            base = s ^ out
+            while into:
+                low = into & -into
+                t = base | low
+                if t not in prev:
+                    prev[t] = s
+                    order.append(t)
+                into ^= low
+    t = sum(1 << i for i in members_j)
+    if t not in prev:
         return None
     removed: list[int] = []
     added: list[int] = []
-    t = members_j
     while (s := prev[t]) is not None:
-        (out,) = set(s) - set(t)
-        (into,) = set(t) - set(s)
-        removed.append(out)
-        added.append(into)
+        removed.append((s & ~t).bit_length() - 1)
+        added.append((t & ~s).bit_length() - 1)
         t = s
     walk = ReconfSequence(
         start=members_i, removed=tuple(removed[::-1]), added=tuple(added[::-1])

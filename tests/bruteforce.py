@@ -5,7 +5,8 @@ the fields of a walk or a pile system, so it shares no code path with
 the package.
 Exponential, except `lis_length`, `deal_reference`, `rank_normalize`,
 `scan_int_tokens`, `require_pair`, `two_coloring`, `replay_sets`,
-`render_walk` and the staircase builders; keep n small.
+`render_walk`, `swap_neighbours`, `bfs_walk` and the staircase builders;
+keep n small.
 """
 import itertools
 from bisect import bisect_left, bisect_right
@@ -233,6 +234,55 @@ def swap_distance(sets, src, dst):
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return None
+
+
+def swap_neighbours(raw, s):
+    """Every increasing set one swap away from the sorted tuple `s`, in order.
+
+    Dropping `s[r]` leaves `rest`; an index strictly inside a gap (lo, hi)
+    of `rest`, framed by sentinels below and above every value, may join
+    when its value lies between those at lo and hi.  Neighbours come by
+    dropped member, then gap, then index.
+    """
+    n = len(raw)
+    value = (float("-inf"), *raw, float("inf"))
+    for r, out in enumerate(s):
+        rest = s[:r] + s[r + 1 :]
+        frame = (0, *rest, n + 1)
+        for g in range(len(rest) + 1):
+            lo, hi = frame[g], frame[g + 1]
+            head, tail = rest[:g], rest[g:]
+            for into in range(lo + 1, hi):
+                if into != out and value[lo] < value[into] < value[hi]:
+                    yield head + (into,) + tail
+
+
+def swap_bfs(raw, start):
+    """Breadth-first tree over `swap_neighbours` from `start`: set -> parent."""
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        for t in swap_neighbours(raw, s):
+            if t not in prev:
+                prev[t] = s
+                queue.append(t)
+    return prev
+
+
+def bfs_walk(prev, goal):
+    """(removed, added) of the tree path from the root of `prev` to `goal`,
+    or None when `goal` is not in the tree."""
+    if goal not in prev:
+        return None
+    removed, added = [], []
+    while (s := prev[goal]) is not None:
+        (out,) = set(s) - set(goal)
+        (into,) = set(goal) - set(s)
+        removed.append(out)
+        added.append(into)
+        goal = s
+    return tuple(removed[::-1]), tuple(added[::-1])
 
 
 def inversion_edges(raw):

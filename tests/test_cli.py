@@ -402,6 +402,24 @@ class TestRun:
         assert run(["decide", "no-such-file.txt"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"\xff\xfe 1 2\n", "line 1, column 1"),
+            (b"7 8 5 6\n1 \xe9\n3 4\n", "line 2, column 3"),
+            (b"# caf\xc3\xa9\xff\n7 8 5 6\n1 2\n3 4\n", "line 1, column 7"),
+            (b"7 8 5 6\r\n1 2\r\n3 \xc3", "line 3, column 3"),
+        ],
+    )
+    def test_file_not_utf8(self, tmp_path, capsys, data, where):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(data)
+        assert run(["decide", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {where}: not UTF-8: ")
+        assert captured.err.count("\n") == 1
+
     def test_decide_requires_maximum_sets(self, tmp_path, capsys):
         path = tmp_path / "small.txt"
         path.write_text("7 8 5 6\n1\n3\n")

@@ -223,3 +223,55 @@ class TestImplicitSearch:
         length, rs = oracle_shortest(seq, i_set, j_set, maximum_only=False, bound=40)
         assert length == 1
         assert rs.steps == (SwapStep(remove=39, add=40),)
+
+    def test_states_wider_than_a_machine_word(self, no_graph):
+        seq = normalize(range(1, 201))
+        i_set, j_set = tuple(range(1, 200)), (*range(1, 199), 200)
+        length, rs = oracle_shortest(seq, i_set, j_set, maximum_only=False, bound=200)
+        assert length == 1
+        assert rs.steps == (SwapStep(remove=199, add=200),)
+
+
+class TestWalkIdentity:
+    """`oracle_shortest` returns the reference BFS's walk, swap for swap."""
+
+    @staticmethod
+    def assert_same_walk(seq, raw, prev, i_set, j_set, maximum_only):
+        found = oracle_shortest(seq, i_set, j_set, maximum_only=maximum_only)
+        expected = bf.bfs_walk(prev, j_set)
+        if expected is None:
+            assert found is None, (raw, i_set, j_set)
+            return
+        length, rs = found
+        assert (rs.start, rs.removed, rs.added) == (i_set, *expected), (
+            raw,
+            i_set,
+            j_set,
+        )
+        assert length == len(expected[0])
+
+    @pytest.mark.parametrize("maximum_only", [True, False])
+    def test_every_pair_up_to_six(self, maximum_only):
+        for n in range(1, 7):
+            for raw in itertools.permutations(range(1, n + 1)):
+                seq = normalize(raw)
+                top = bf.lis_len(raw)
+                for size in [top] if maximum_only else range(1, top + 1):
+                    sets = bf.feasible_sets(raw, size)
+                    for i_set in sets:
+                        prev = bf.swap_bfs(raw, i_set)
+                        for j_set in sets:
+                            self.assert_same_walk(
+                                seq, raw, prev, i_set, j_set, maximum_only
+                            )
+
+    def test_random_general_instances(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            raw = bf.random_perm(rng, rng.randint(7, 12))
+            seq = normalize(raw)
+            sets = bf.feasible_sets(raw, rng.randint(1, bf.lis_length(raw)))
+            i_set = rng.choice(sets)
+            prev = bf.swap_bfs(raw, i_set)
+            for j_set in rng.choice(sets), rng.choice(list(prev)):
+                self.assert_same_walk(seq, raw, prev, i_set, j_set, False)
