@@ -8,7 +8,8 @@ Instance file format, three data lines::
     3 4         <- index set J, 1-based
 
 A value or index is an optional `-` followed by ASCII digits; any
-whitespace separates them.  The file is read as UTF-8.
+whitespace separates them.  The file is read as UTF-8, and a leading
+byte-order mark is ignored.
 
 Exit status is 0 on success and 2 on any error, a stdout whose reader
 has left included (that one without a message).  With --exit-status the
@@ -17,6 +18,7 @@ yes/no subcommands instead report YES as 0 and NO as 1.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import os
@@ -285,9 +287,13 @@ def _load(args, require_sets: bool = True):
 
 
 def _read_utf8(path: str) -> str:
-    """The file's text; bytes that are not UTF-8 raise a ParseError."""
+    """The file's text; bytes that are not UTF-8 raise a ParseError.
+
+    A leading UTF-8 byte-order mark is dropped, as the `utf-8-sig` codec
+    drops it, but before decoding, so the decoder's offsets index `data`.
+    """
     with open(path, "rb") as handle:
-        data = handle.read()
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -12,6 +12,27 @@ representatives coincide.
 Descent order is fixed for reproducible traces: always the lowest pile id
 that admits a move, and within that pile the deepest reachable entry.
 
+The witness turns at I∧J, the per-pile minimum of I and J, instead of at
+the representative.  Proof sketch, with a maximum set read as its vector
+of per-pile depths:
+
+- Lattice.  Pile entries rise in index and fall in value with depth, so
+  the depth pairs allowed on two neighbouring piles form a band whose
+  two edges are nondecreasing.  Hence the per-pile minimum and maximum
+  of two maximum sets are maximum sets: the maximum sets form a
+  distributive lattice (Dilworth's lattice of maximum antichains, applied
+  to the conjugate order).  Lowering a pile only widens its neighbours'
+  room downward, and a fixed per-pile floor keeps that true, so the
+  descent clamped to a floor is confluent as well: from I it ends at the
+  least set that I reaches by downward moves within [m, ∞), m = I∧J.
+- m is reached on YES.  If I and J are connected, both descend to one
+  representative b, and b ≤ m.  Map each set x on I's descent to x ∨ m.
+  Each step becomes either no step or one downward single-pile change,
+  and the mapped walk runs from I ∨ m = I to b ∨ m = m.  So the clamped
+  fixed point is ≤ m, and the floor makes it ≥ m.
+- NO.  If both clamped descents end at the same set, I's half joined
+  with J's half reversed connects I and J; so on NO they end apart.
+
 `reconfigure` is the one query: it returns both representatives and, when
 they coincide, a walk (`Answer`); `decide` and `witness` read it.  Sets
 are validated by `require_maximum` (a single set) and `require_pair` (the
@@ -201,8 +222,9 @@ def _lowest_depth(
     left_index: int,
     right_value: int,
     d: int,
+    floor: int = 0,
 ) -> int:
-    """Lowest depth below `d` that the member at depth `d` can move to, else `d`.
+    """Lowest depth in [floor, d) that the member at depth `d` can move to, else `d`.
 
     The move must keep the set increasing: the new entry must come after
     `left_index`, the member of the pile to the left, and its value must be
@@ -213,12 +235,14 @@ def _lowest_depth(
     on, the value constraint those from the first depth whose value is
     below `right_value` on.  Their intersection is a suffix too, starting at
     the larger of the two.  Any depth from `d` up already meets both, the
-    current member among them, so only depths in [0, d) can be targets:
-    the index search is bounded to [0, d), and the value search to the
-    depths between its result and `d`.  The answer is the suffix's first
-    depth when that is below `d`, and `d` (no move) exactly when it is not.
+    current member among them, so only depths in [floor, d) can be
+    targets: the index search is bounded to [floor, d), which makes its
+    result at least `floor`, and the value search to the depths between
+    that result and `d`.  The answer is the larger of `floor` and the
+    suffix's first depth when that is below `d`, and `d` (no move)
+    exactly when it is not.
     """
-    lo = bisect_right(pile_idx, left_index, 0, d)
+    lo = bisect_right(pile_idx, left_index, floor, d)
     hi = d
     while lo < hi:
         mid = (lo + hi) // 2
@@ -254,38 +278,42 @@ def downward_moves(
     return moves
 
 
-def minimal_set(
-    seq: Sequence, ps: PileSystem, s: Iterable[int]
-) -> tuple[FeasibleSet, ReconfSequence]:
-    """Greedy descent to the unique set admitting no downward move.
-
-    Returns the fixed point and the executed descent, a walk from `s`
-    whose length is the move count.  Equivalent to
-    repeatedly applying the first entry of `downward_moves`, but a pile
-    is only re-examined after one of its neighbors changes, and each
-    examination searches only the depths below the member's own
-    (`_lowest_depth`), reading `seq.perm` directly, so the whole descent
-    costs O((k + moves) log n).  Each member's depth is found once by
-    binary search in its pile and then tracked per pile.
-    """
-    members = require_maximum(seq, ps, s)
+def _placed(ps: PileSystem, members: FeasibleSet) -> tuple[list[int], list[int]]:
+    """The member on each pile (`_per_pile`) and its depth there (slot 0: sentinel)."""
     chosen = _per_pile(ps, members)
-    perm, piles, k = seq.perm, ps.piles, ps.k
-    depth = [bisect_left(pile, i) for pile, i in zip(piles, chosen)]
-    last_value = seq.n + 1
+    return chosen, [bisect_left(pile, i) for pile, i in zip(ps.piles, chosen)]
+
+
+def _descend(
+    perm: tuple[int, ...],
+    piles: tuple[tuple[int, ...], ...],
+    k: int,
+    last_value: int,
+    chosen: list[int],
+    depth: list[int],
+    floor: list[int],
+) -> tuple[list[int], list[int]]:
+    """Greedy descent in which no pile goes below its depth in `floor`.
+
+    Edits `chosen` and `depth` (as `_placed` builds them) in place to the
+    fixed point and returns the removed and the added index of each move.
+    The lowest pile id that admits a move goes first, to the lowest
+    reachable depth not below its floor (`_lowest_depth`).  A pile is
+    re-examined only after one of its neighbours moved, and only piles
+    above their floor enter the worklist, so the descent costs
+    O((k + moves) log n).  `last_value` is n + 1, the bound to the right
+    of the last pile.
+    """
     removed: list[int] = []
     added: list[int] = []
-    # Piles of size 1 can never move; seed the worklist with the rest.
-    heap = [t for t in range(1, k + 1) if len(piles[t]) > 1]
+    heap = [t for t in range(1, k + 1) if depth[t] > floor[t]]
     heapify(heap)
     while heap:
         t = heappop(heap)
         d = depth[t]
-        if d == 0:
-            continue
         pile_idx = piles[t]
         right_value = perm[chosen[t + 1] - 1] if t < k else last_value
-        lo = _lowest_depth(perm, pile_idx, chosen[t - 1], right_value, d)
+        lo = _lowest_depth(perm, pile_idx, chosen[t - 1], right_value, d, floor[t])
         if lo < d:
             u = pile_idx[lo]
             removed.append(chosen[t])
@@ -293,14 +321,33 @@ def minimal_set(
             chosen[t] = u
             depth[t] = lo
             # Only the two pile neighbors gain new room to move.
-            if t > 1 and len(piles[t - 1]) > 1:
+            if t > 1 and depth[t - 1] > floor[t - 1]:
                 heappush(heap, t - 1)
-            if t < k and len(piles[t + 1]) > 1:
+            if t < k and depth[t + 1] > floor[t + 1]:
                 heappush(heap, t + 1)
+    return removed, added
+
+
+def minimal_set(
+    seq: Sequence, ps: PileSystem, s: Iterable[int]
+) -> tuple[FeasibleSet, ReconfSequence]:
+    """Greedy descent to the unique set admitting no downward move.
+
+    Returns the fixed point and the executed descent, a walk from `s`
+    whose length is the move count: `_descend` with floor 0 on every
+    pile.  Equivalent to repeatedly applying the first entry of
+    `downward_moves`, in O((k + moves) log n).
+    """
+    members = require_maximum(seq, ps, s)
+    chosen, depth = _placed(ps, members)
+    removed, added = _descend(
+        seq.perm, ps.piles, ps.k, seq.n + 1, chosen, depth, [0] * len(depth)
+    )
     descent = ReconfSequence(
         start=members, removed=tuple(removed), added=tuple(added)
     )
-    return tuple(sorted(chosen[1:])), descent
+    # Every move keeps the set increasing, so pile order is index order.
+    return tuple(chosen[1:]), descent
 
 
 @dataclass(frozen=True)
@@ -308,8 +355,9 @@ class Answer:
     """Both canonical representatives and, on YES, a walk from I to J.
 
     `walk` is None exactly when the representatives differ (NO).  The walk
-    concatenates the descent of I with the inverted, reversed descent of
-    J; it is not length-minimal in general.
+    descends from I to I∧J, the per-pile minimum of I and J, and then
+    climbs from I∧J to J along J's descent to I∧J run backwards; it need
+    not be length-minimal, but it never passes below I∧J.
     """
 
     minimal_i: FeasibleSet
@@ -318,23 +366,52 @@ class Answer:
 
 
 def reconfigure(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> Answer:
-    """Descend both maximum feasible sets to their representatives.
+    """Both representatives, and on YES a walk from I to J through I∧J.
 
-    The one computation behind `decide`, `witness` and the CLI.  The walk
-    is I's descent followed by J's descent run backwards, each of its
-    swaps inverted: joined by slicing the flat step tuples.
+    The one computation behind `decide`, `witness` and the CLI, in four
+    steps:
+
+    1. Place I and J on the piles once and take the meet I∧J, the
+       per-pile minimum of their depths.
+    2. Descend I and J with I∧J as the floor (`_descend`).
+    3. The answer is YES exactly when both end at the same set, which is
+       then I∧J (module docstring).  The walk is I's clamped descent
+       followed by J's run backwards, each of its swaps inverted: joined
+       by slicing the flat step lists.
+    4. Continue the descent with floor 0 to the representatives: once on
+       YES, where both sides stand at I∧J, and once per side on NO.
+
+    By confluence the representatives are `minimal_set`'s.  When I = J
+    the meet is I itself, so the walk is empty:
+
+    >>> from lisrc import normalize
+    >>> answer = reconfigure(normalize([2, 1]), [2], [2])
+    >>> answer.walk
+    ReconfSequence(start=(2,), removed=(), added=())
+    >>> answer.minimal_i, answer.minimal_j
+    ((1,), (1,))
     """
     ps = build_piles(seq)
     members_i, members_j = require_pair(seq, ps, i_set, j_set)
-    m_i, d_i = minimal_set(seq, ps, members_i)
-    m_j, d_j = minimal_set(seq, ps, members_j)
+    perm, piles, k, last_value = seq.perm, ps.piles, ps.k, seq.n + 1
+    chosen_i, depth_i = _placed(ps, members_i)
+    chosen_j, depth_j = _placed(ps, members_j)
+    meet = list(map(min, depth_i, depth_j))
+    removed_i, added_i = _descend(perm, piles, k, last_value, chosen_i, depth_i, meet)
+    removed_j, added_j = _descend(perm, piles, k, last_value, chosen_j, depth_j, meet)
+    bottom = [0] * len(meet)
     walk = None
-    if m_i == m_j:
+    if depth_i == depth_j:
         walk = ReconfSequence(
             start=members_i,
-            removed=d_i.removed + d_j.added[::-1],
-            added=d_i.added + d_j.removed[::-1],
+            removed=tuple(removed_i + added_j[::-1]),
+            added=tuple(added_i + removed_j[::-1]),
         )
+    else:
+        _descend(perm, piles, k, last_value, chosen_j, depth_j, bottom)
+    _descend(perm, piles, k, last_value, chosen_i, depth_i, bottom)
+    m_i = tuple(chosen_i[1:])
+    m_j = m_i if walk is not None else tuple(chosen_j[1:])
     return Answer(minimal_i=m_i, minimal_j=m_j, walk=walk)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from lisrc import (
     minimal_set,
     normalize,
     oracle_shortest,
+    reconfigure,
     witness,
 )
 from lisrc.reconfig import _per_pile
@@ -290,17 +292,47 @@ class TestWitness:
             for s in sets:
                 assert is_maximum_feasible(seq, s)
 
-    def test_length_is_sum_of_traces(self):
-        for raw, i_set, j_set in sample_instances(seed=67, rounds=80, max_n=10):
-            seq = normalize(raw)
-            ps = build_piles(seq)
-            rs = witness(seq, i_set, j_set)
-            if rs is not None:
-                _, trace_i = minimal_set(seq, ps, i_set)
-                _, trace_j = minimal_set(seq, ps, j_set)
-                assert len(rs) == len(trace_i) + len(trace_j)
-                # One swap can fix at most one private element.
-                assert len(rs) >= len(set(i_set) - set(j_set))
+    def test_set_to_itself_has_no_step(self):
+        # I∧I = I, so neither clamped descent moves.
+        for n in range(1, 7):
+            for raw in itertools.permutations(range(1, n + 1)):
+                seq = normalize(raw)
+                for s in bf.max_feasible_sets(raw):
+                    rs = witness(seq, s, s)
+                    assert rs.start == s and len(rs) == 0
+
+    def test_exhaustive_agreement_through_the_meet(self):
+        # Every pair of maximum sets of every permutation with n <= 6.
+        for n in range(1, 7):
+            for raw in itertools.permutations(range(1, n + 1)):
+                seq = normalize(raw)
+                ps = build_piles(seq)
+                maxima = bf.max_feasible_sets(raw)
+                part = {s: p for p in bf.connectivity_partition(maxima) for s in p}
+                descents = {s: minimal_set(seq, ps, s) for s in maxima}
+                for i_set, j_set in itertools.product(maxima, repeat=2):
+                    (m_i, trace_i), (m_j, trace_j) = descents[i_set], descents[j_set]
+                    answer = reconfigure(seq, i_set, j_set)
+                    assert (answer.minimal_i, answer.minimal_j) == (m_i, m_j)
+                    assert (answer.walk is not None) == (j_set in part[i_set])
+                    if answer.walk is not None:
+                        check_walk_through_meet(ps, answer.walk, j_set)
+                        assert len(answer.walk) <= len(trace_i) + len(trace_j)
+                        # One swap can fix at most one private element.
+                        assert len(answer.walk) >= len(set(i_set) - set(j_set))
+
+
+def check_walk_through_meet(ps, rs, j_set):
+    """The walk replays to J, moving down to I∧J first and then only up."""
+    sets = list(bf.replay_sets(rs))
+    assert sets[-1] == j_set
+    depth = ps.depth_of
+    down = 0
+    while down < len(rs) and depth[rs.added[down]] < depth[rs.removed[down]]:
+        down += 1
+    assert all(depth[a] > depth[r] for r, a in zip(rs.removed[down:], rs.added[down:]))
+    meet = tuple(min(a, b, key=depth.__getitem__) for a, b in zip(rs.start, j_set))
+    assert sets[down] == meet
 
 
 class TestApplyStep:
