@@ -9,6 +9,19 @@ bipartite every pile has at most two entries, and a swap sequence of the
 smallest possible length |I \\ J| exists whenever any sequence exists; the
 only obstruction is a "forbidden pair" of mixed piles whose four elements
 close a 4-cycle, and the first such pair always sits on adjacent piles.
+
+`shortest_sequence` builds no walk of its own: the walk that `witness`
+returns, down from I to I∧J and up to J, is already shortest here.
+Proof sketch:
+
+- With piles of height at most 2, every depth is 0 or 1.
+- A clamped descent moves a pile only downward, and never below the
+  meet.  So each pile where I and J differ moves exactly once on YES,
+  and no other pile moves.
+- The length is therefore |I \\ J|.  Each swap adds at most one member
+  of J, so no walk is shorter.
+
+The forbidden pair is only the certificate of a NO answer.
 `shortest_sequence` costs O(n log n), all of it in pile dealing, and
 `two_coloring` O(n).  `build_graph` materializes the graph explicitly; it
 is quadratic and serves `lisrc graph` and the tests, not the queries.
@@ -21,8 +34,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .piles import PileSystem, build_piles
-from .reconfig import ReconfSequence, _per_pile, require_pair
-from .seqcore import Sequence, precedes
+from .reconfig import ReconfSequence, _meet_walk, require_pair
+from .seqcore import FeasibleSet, Sequence
 
 # bench/spans.py wraps `is_feasible` in this namespace, so it stays
 # importable from here although nothing in this module calls it.
@@ -137,13 +150,20 @@ def mixed_piles(
     entries, the count equals |I \\ J|: each element private to I shares
     its pile with exactly one element private to J.
     """
-    members_i, members_j = require_pair(seq, ps, i_set, j_set)
-    chosen_i = _per_pile(ps, members_i)
-    chosen_j = _per_pile(ps, members_j)
+    return _mixed(ps, *require_pair(seq, ps, i_set, j_set))
+
+
+def _mixed(
+    ps: PileSystem, members_i: FeasibleSet, members_j: FeasibleSet
+) -> list[MixedPile]:
+    """`mixed_piles` of two validated maximum sets, O(k).
+
+    The t-th member of a maximum set lies on pile t (`reconfig._per_pile`).
+    """
     return [
         MixedPile(pile=t, i_elem=x, j_elem=y)
-        for t, (x, y) in enumerate(zip(chosen_i, chosen_j))
-        if x != y and len(ps.piles[t]) == 2
+        for t, (x, y, pile) in enumerate(zip(members_i, members_j, ps.piles[1:]), 1)
+        if x != y and len(pile) == 2
     ]
 
 
@@ -261,54 +281,34 @@ def shortest_sequence(
     """Shortest swap sequence between maximum feasible sets, length |I \\ J|.
 
     Requires a bipartite permutation graph (NotBipartite, carrying a
-    decreasing triple, otherwise).  A forbidden pair proves no sequence
-    exists (NoSequence).  Otherwise the leftmost mixed pile always admits
-    a swap on at least one side; the I-side swap is preferred when both
-    apply, and J-side swaps are replayed inverted at the tail.
+    decreasing triple, otherwise).  On YES the walk is `witness`'s: I's
+    descent to I∧J, then J's run backwards (`reconfig._meet_walk`).  It
+    is shortest because every pile holds at most two entries:
 
-    A set with one element per pile is feasible exactly when neighbouring
-    piles are ordered, so each swap is checked in O(1) against the chosen
-    elements of piles t - 1 and t + 1.  O(n log n) overall.
+    - every depth is 0 or 1;
+    - a clamped descent moves a pile only downward, and never below the
+      meet, so each pile where I and J differ moves exactly once on YES,
+      and no other pile moves;
+    - the length is therefore |I \\ J|, and since each swap adds at most
+      one member of J, no walk is shorter.
+
+    On NO a forbidden pair of mixed piles is the certificate
+    (NoSequence); by the module's theorem one always exists then.
+    O(n log n) overall.
+
+    >>> from lisrc.seqcore import normalize
+    >>> walk = shortest_sequence(normalize((2, 1, 4, 3)), (1, 3), (2, 4))
+    >>> list(walk.sets())
+    [(1, 3), (1, 4), (2, 4)]
     """
     ps = build_piles(seq)
     members_i, members_j = require_pair(seq, ps, i_set, j_set)
     triple = decreasing_triple(seq)
     if triple is not None:
         return NotBipartite(odd_cycle=triple)
-    mixed = mixed_piles(seq, ps, members_i, members_j)
-    pair = find_forbidden_pair(seq, mixed)
-    if pair is not None:
-        return NoSequence(forbidden=pair)
-    chosen_i = _per_pile(ps, members_i)
-    chosen_j = _per_pile(ps, members_j)
-    # Elements of I leave and elements of J arrive, on both sides: an
-    # I-side swap is taken forward, a J-side swap is replayed inverted.
-    forward_out: list[int] = []
-    forward_in: list[int] = []
-    backward_out: list[int] = []
-    backward_in: list[int] = []
-    for mp in mixed:
-        if _fits(seq, chosen_i, mp.pile, mp.j_elem):
-            chosen_i[mp.pile] = mp.j_elem
-            forward_out.append(mp.i_elem)
-            forward_in.append(mp.j_elem)
-        else:
-            assert _fits(seq, chosen_j, mp.pile, mp.i_elem), (
-                "leftmost mixed pile must be swappable"
-            )
-            chosen_j[mp.pile] = mp.i_elem
-            backward_out.append(mp.i_elem)
-            backward_in.append(mp.j_elem)
-    assert chosen_i == chosen_j
-    return ReconfSequence(
-        start=members_i,
-        removed=tuple(forward_out + backward_out[::-1]),
-        added=tuple(forward_in + backward_in[::-1]),
-    )
-
-
-def _fits(seq: Sequence, chosen: list[int], t: int, x: int) -> bool:
-    """Can x replace chosen[t] and keep the one-per-pile set a chain?"""
-    return precedes(seq, chosen[t - 1], x) and (
-        t + 1 == len(chosen) or precedes(seq, x, chosen[t + 1])
-    )
+    walk = _meet_walk(seq, ps, members_i, members_j)[0]
+    if walk is not None:
+        return walk
+    pair = find_forbidden_pair(seq, _mixed(ps, members_i, members_j))
+    assert pair is not None
+    return NoSequence(forbidden=pair)

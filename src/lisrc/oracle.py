@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import SizeMismatch, TooLarge
+from .errors import LisrcError, SizeMismatch, TooLarge
 from .piles import build_piles
 from .reconfig import ReconfSequence, require_pair
 from .seqcore import FeasibleSet, Sequence
@@ -49,6 +49,8 @@ class ReconfGraph:
 
 
 def _check_bound(seq: Sequence, bound: int) -> None:
+    if bound < 0:
+        raise LisrcError(f"oracle bound must be >= 0, got {bound}")
     if seq.n > bound:
         raise TooLarge(seq.n, bound)
 
@@ -64,6 +66,8 @@ def enumerate_feasible(
     (up to n) is not bounded by Python's recursion limit.
     """
     _check_bound(seq, bound)
+    if size < 0:
+        raise LisrcError(f"set size must be >= 0, got {size}")
     if size == 0:
         return [()]
     perm, n = seq.perm, seq.n

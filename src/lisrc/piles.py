@@ -1,4 +1,4 @@
-"""Patience-sorting piles with a sentinel, blockers, and pile coordinates.
+"""Patience-sorting piles with a sentinel, and blocker chains.
 
 Every element is dealt onto the leftmost pile whose top value exceeds it.
 A sentinel of value 0 at index 0 is dealt first and forms pile 0 on its
@@ -11,17 +11,16 @@ Within a pile, entries from bottom to top have strictly increasing index
 and strictly decreasing value, so each pile is an antichain of the
 position order and the pile count equals the longest-chain length.
 
-Dealing records only the piles themselves.  The per-element coordinates
-(`pile_of`, `depth_of`, `blocker`) follow from the piles and are derived
-on first use, in O(n) once per `PileSystem`; the query paths never need
-them, since each of their k members is located by one binary search in
-its own pile (`reconfig._per_pile`).
+Dealing records only the piles themselves, and a `PileSystem` keeps
+nothing else.  Each query locates its k members by one binary search in
+their own piles (`reconfig._per_pile`), and a blocker is found the same
+way: it is the last entry of pile t - 1 whose index is below the
+element's.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 from .seqcore import FeasibleSet, Sequence
 
@@ -32,9 +31,6 @@ class PileSystem:
 
     piles[t] lists the 1-based element indices of pile t from bottom to
     top; piles[0] == (0,) is the sentinel pile.  It is the only field.
-    pile_of, depth_of and blocker are indexed by element index (slot 0 is
-    the sentinel; the sentinel has no blocker, its slot holds -1); they
-    and n are computed from the piles on first access and then kept.
     """
 
     piles: tuple[tuple[int, ...], ...]
@@ -43,45 +39,6 @@ class PileSystem:
     def k(self) -> int:
         """Id of the last pile; equals the maximum feasible-set size."""
         return len(self.piles) - 1
-
-    @cached_property
-    def n(self) -> int:
-        return sum(map(len, self.piles)) - 1
-
-    @cached_property
-    def pile_of(self) -> tuple[int, ...]:
-        """Pile id of each element index."""
-        pile_of = [0] * (self.n + 1)
-        for t, pile in enumerate(self.piles):
-            for i in pile:
-                pile_of[i] = t
-        return tuple(pile_of)
-
-    @cached_property
-    def depth_of(self) -> tuple[int, ...]:
-        """Depth of each element index in its pile, 0 at the bottom."""
-        depth_of = [0] * (self.n + 1)
-        for pile in self.piles:
-            for d, i in enumerate(pile):
-                depth_of[i] = d
-        return tuple(depth_of)
-
-    @cached_property
-    def blocker(self) -> tuple[int, ...]:
-        """The top of pile t - 1 when each element landed on pile t.
-
-        That top is the last entry of pile t - 1 dealt before the element,
-        so one merge of the two index-sorted piles finds it for every
-        entry of pile t.
-        """
-        blocker = [-1] * (self.n + 1)
-        for below, pile in zip(self.piles, self.piles[1:]):
-            j, last = 0, len(below) - 1
-            for i in pile:
-                while j < last and below[j + 1] < i:
-                    j += 1
-                blocker[i] = below[j]
-        return tuple(blocker)
 
     def entries(self, seq: Sequence, t: int) -> list[tuple[int, int]]:
         """Pile t as (index, raw value) pairs, bottom to top.
@@ -96,15 +53,12 @@ def build_piles(seq: Sequence) -> PileSystem:
 
     O(n log n): one binary search over the pile tops per element finds
     the leftmost pile whose top exceeds it.  Only the piles and their top
-    values are kept while dealing; the per-element coordinates are
-    derived from the piles when first read.
+    values are kept while dealing.
 
     >>> from lisrc.seqcore import normalize
     >>> ps = build_piles(normalize((7, 8, 5, 6)))
     >>> ps.piles
     ((0,), (1, 3), (2, 4))
-    >>> ps.pile_of
-    (0, 1, 2, 1, 2)
     """
     piles: list[list[int]] = [[0]]
     tops = [0]
@@ -125,12 +79,18 @@ def extract_canonical_max(ps: PileSystem) -> FeasibleSet:
     """One maximum feasible set: blocker chain from the bottom of the last pile.
 
     Deterministic; any entry of the last pile would start a valid chain,
-    the bottom entry is the fixed choice here.  The sentinel is dropped
-    from the result.
+    the bottom entry is the fixed choice here.  The blocker of i on pile
+    t, the top of pile t - 1 when i was dealt, is the last entry of pile
+    t - 1 with a smaller index: one binary search per pile, O(k log n).
+    The sentinel is dropped from the result.
+
+    >>> from lisrc.seqcore import normalize
+    >>> extract_canonical_max(build_piles(normalize((7, 8, 5, 6))))
+    (1, 2)
     """
     chain: list[int] = []
     cur = ps.piles[ps.k][0]
-    while cur != 0:
+    for below in reversed(ps.piles[: ps.k]):
         chain.append(cur)
-        cur = ps.blocker[cur]
-    return tuple(sorted(chain))
+        cur = below[bisect_left(below, cur) - 1]
+    return tuple(reversed(chain))

@@ -278,7 +278,11 @@ def downward_moves(
     return moves
 
 
-def _placed(ps: PileSystem, members: FeasibleSet) -> tuple[list[int], list[int]]:
+# A set on the piles: its member and that member's depth on each pile.
+_Placed = tuple[list[int], list[int]]
+
+
+def _placed(ps: PileSystem, members: FeasibleSet) -> _Placed:
     """The member on each pile (`_per_pile`) and its depth there (slot 0: sentinel)."""
     chosen = _per_pile(ps, members)
     return chosen, [bisect_left(pile, i) for pile, i in zip(ps.piles, chosen)]
@@ -365,11 +369,38 @@ class Answer:
     walk: ReconfSequence | None
 
 
+def _meet_walk(
+    seq: Sequence, ps: PileSystem, members_i: FeasibleSet, members_j: FeasibleSet
+) -> tuple[ReconfSequence | None, _Placed, _Placed]:
+    """Descend validated I and J with I∧J as the floor: steps 1-3 of `reconfigure`.
+
+    Returns the walk from I through I∧J to J, None when the clamped end
+    points differ (NO), and each side's `chosen`/`depth` (as `_placed`
+    builds them) at its clamped end point.  `reconfigure` continues from
+    those to the representatives; `bipartite.shortest_sequence` stops
+    here.
+    """
+    perm, piles, k, last_value = seq.perm, ps.piles, ps.k, seq.n + 1
+    chosen_i, depth_i = _placed(ps, members_i)
+    chosen_j, depth_j = _placed(ps, members_j)
+    meet = list(map(min, depth_i, depth_j))
+    removed_i, added_i = _descend(perm, piles, k, last_value, chosen_i, depth_i, meet)
+    removed_j, added_j = _descend(perm, piles, k, last_value, chosen_j, depth_j, meet)
+    walk = None
+    if depth_i == depth_j:
+        walk = ReconfSequence(
+            start=members_i,
+            removed=tuple(removed_i + added_j[::-1]),
+            added=tuple(added_i + removed_j[::-1]),
+        )
+    return walk, (chosen_i, depth_i), (chosen_j, depth_j)
+
+
 def reconfigure(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> Answer:
     """Both representatives, and on YES a walk from I to J through I∧J.
 
     The one computation behind `decide`, `witness` and the CLI, in four
-    steps:
+    steps, the first three in `_meet_walk`:
 
     1. Place I and J on the piles once and take the meet I∧J, the
        per-pile minimum of their depths.
@@ -393,21 +424,12 @@ def reconfigure(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> An
     """
     ps = build_piles(seq)
     members_i, members_j = require_pair(seq, ps, i_set, j_set)
+    walk, (chosen_i, depth_i), (chosen_j, depth_j) = _meet_walk(
+        seq, ps, members_i, members_j
+    )
     perm, piles, k, last_value = seq.perm, ps.piles, ps.k, seq.n + 1
-    chosen_i, depth_i = _placed(ps, members_i)
-    chosen_j, depth_j = _placed(ps, members_j)
-    meet = list(map(min, depth_i, depth_j))
-    removed_i, added_i = _descend(perm, piles, k, last_value, chosen_i, depth_i, meet)
-    removed_j, added_j = _descend(perm, piles, k, last_value, chosen_j, depth_j, meet)
-    bottom = [0] * len(meet)
-    walk = None
-    if depth_i == depth_j:
-        walk = ReconfSequence(
-            start=members_i,
-            removed=tuple(removed_i + added_j[::-1]),
-            added=tuple(added_i + removed_j[::-1]),
-        )
-    else:
+    bottom = [0] * len(depth_i)
+    if walk is None:
         _descend(perm, piles, k, last_value, chosen_j, depth_j, bottom)
     _descend(perm, piles, k, last_value, chosen_i, depth_i, bottom)
     m_i = tuple(chosen_i[1:])

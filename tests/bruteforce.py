@@ -3,7 +3,7 @@
 Everything here works straight off the raw value list, or straight off
 the fields of a walk or a pile system, so it shares no code path with
 the package.
-Exponential, except `lis_length`, `deal_reference`, `rank_normalize`,
+Exponential, except `lis_length`, `deal_reference`, `pile_coord`, `rank_normalize`,
 `scan_int_tokens`, `require_pair`, `two_coloring`, `replay_sets`,
 `render_walk`, `swap_neighbours`, `bfs_walk` and the staircase builders;
 keep n small.
@@ -414,11 +414,12 @@ def forbidden_pair_scan(raw):
     return first
 
 
-def pile_coord(ps, i):
+def pile_coord(raw, i):
     """(pile id, depth from the bottom) of element index i; 0 is the sentinel."""
-    if not 0 <= i <= ps.n:
-        raise IndexOutOfRange(i, ps.n)
-    return ps.pile_of[i], ps.depth_of[i]
+    if not 0 <= i <= len(raw):
+        raise IndexOutOfRange(i, len(raw))
+    pile_of, depth_of, _ = deal_reference(raw)
+    return pile_of[i], depth_of[i]
 
 
 def random_perm(rng, n):

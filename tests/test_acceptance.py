@@ -255,8 +255,9 @@ def test_criterion_6_structural_invariants(capsys):
                 if not (a < b and seq.value(a) > seq.value(b)):
                     violations += 1
         maxima = enumerate_feasible(seq, ps.k)
+        pile_of = bf.deal_reference(raw)[0]
         for s in maxima:
-            if sorted(ps.pile_of[i] for i in s) != list(range(1, ps.k + 1)):
+            if sorted(pile_of[i] for i in s) != list(range(1, ps.k + 1)):
                 violations += 1
         graph = build_reconfig_graph(maxima)
         g = build_graph(seq)

@@ -22,6 +22,7 @@ from lisrc import (
     normalize,
     shortest_sequence,
     two_coloring,
+    witness,
 )
 from lisrc.bipartite import (
     _dyck_to_permutation,
@@ -233,10 +234,11 @@ class TestMixedPiles:
             assert all(len(p) <= 2 for p in ps.piles[1:])
             mixed = mixed_piles(seq, ps, i_set, j_set)
             assert len(mixed) == len(set(i_set) - set(j_set))
+            pile_of = bf.deal_reference(raw)[0]
             for mp in mixed:
                 assert mp.i_elem in set(i_set) - set(j_set)
                 assert mp.j_elem in set(j_set) - set(i_set)
-                assert ps.pile_of[mp.i_elem] == ps.pile_of[mp.j_elem] == mp.pile
+                assert pile_of[mp.i_elem] == pile_of[mp.j_elem] == mp.pile
 
 
 class TestFindForbiddenPair:
@@ -265,7 +267,7 @@ class TestShortestSequence:
     def test_small_bipartite_instance(self):
         raw, i_set, j_set = BIP
         rs = shortest_sequence(normalize(raw), i_set, j_set)
-        assert list(rs.sets()) == [(1, 3), (2, 3), (2, 4)]
+        assert list(rs.sets()) == [(1, 3), (1, 4), (2, 4)]
 
     def test_identical_sets(self):
         rs = shortest_sequence(normalize(BIP[0]), (1, 3), (1, 3))
@@ -305,6 +307,33 @@ class TestShortestSequence:
                             private = len(set(i_set) - set(j_set))
                             assert len(result) == private == dist
                             assert result.end() == j_set
+
+    def test_walk_is_the_witness_walk(self):
+        # Every 321-avoiding permutation of n <= 7 and every ordered pair of
+        # maximum sets: the shortest walk is `witness`'s walk through I∧J,
+        # of length |I \ J|, and NoSequence comes exactly when it has none.
+        yes = 0
+        for n in range(1, 8):
+            for raw in itertools.permutations(range(1, n + 1)):
+                if next(bf.decreasing_triples(raw), None):
+                    continue
+                seq = normalize(raw)
+                maxima = bf.max_feasible_sets(raw)
+                for i_set, j_set in itertools.product(maxima, repeat=2):
+                    walk = witness(seq, i_set, j_set)
+                    result = shortest_sequence(seq, i_set, j_set)
+                    if walk is None:
+                        assert isinstance(result, NoSequence)
+                        continue
+                    assert isinstance(result, ReconfSequence)
+                    assert (result.start, result.removed, result.added) == (
+                        walk.start,
+                        walk.removed,
+                        walk.added,
+                    )
+                    assert len(result) == len(set(i_set) - set(j_set))
+                    yes += 1
+        assert yes == 3_353
 
     def test_adjacent_scan_matches_all_pairs_reference(self):
         # Every 321-avoiding permutation of n <= 8 and every pair of
@@ -362,9 +391,10 @@ def _check_replay(seq, ps, first_pair, result, i_set, j_set):
     pair behind."""
     sets = list(result.sets())
     assert sets[0] == i_set and sets[-1] == j_set
+    pile_of = bf.deal_reference(seq.raw)[0]
     mixed = mixed_piles(seq, ps, i_set, j_set)
     for step, after in zip(result.steps, sets[1:]):
-        pile = ps.pile_of[step.remove]
+        pile = pile_of[step.remove]
         assert [(m.i_elem, m.j_elem) for m in mixed if m.pile == pile] == [
             (step.remove, step.add)
         ]

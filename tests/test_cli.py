@@ -27,6 +27,7 @@ from lisrc import (
 )
 import lisrc.cli
 import lisrc.reconfig
+import lisrc.seqcore
 from lisrc.bipartite import decreasing_triple
 from lisrc.cli import (
     _int_tokens,
@@ -246,7 +247,7 @@ class TestRun:
     def test_shortest_yes(self, capsys):
         assert run(["shortest", BIP_FILE]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out == ["YES", "length 2", "{1,3}", "swap 1 -> 2: {2,3}", "swap 3 -> 4: {2,4}"]
+        assert out == ["YES", "length 2", "{1,3}", "swap 3 -> 4: {1,4}", "swap 1 -> 2: {2,4}"]
 
     def test_json_does_not_replay_the_walk(self, capsys, monkeypatch):
         # --json prints the steps only; the intermediate sets are text output.
@@ -264,6 +265,22 @@ class TestRun:
             assert run([command, "--json", path]) == 0
             assert capsys.readouterr().out == out
             assert json.loads(out)["length"] > 0
+
+    @pytest.mark.parametrize("path", [BIP_FILE, K22_FILE], ids=["yes", "no"])
+    def test_shortest_validates_each_set_twice(self, path, capsys, monkeypatch):
+        # Once while parsing, once in `require_pair`: `shortest` maps the
+        # validated sets to mixed piles without validating them again.
+        calls = []
+
+        def counting(seq, s):
+            calls.append(s)
+            return lisrc.seqcore.require_feasible(seq, s)
+
+        monkeypatch.setattr(lisrc.cli, "require_feasible", counting)
+        monkeypatch.setattr(lisrc.reconfig, "require_feasible", counting)
+        assert run(["shortest", path]) == 0
+        capsys.readouterr()
+        assert len(calls) == 4
 
     def test_shortest_reports_forbidden_pair(self, capsys):
         assert run(["shortest", K22_FILE]) == 0

@@ -6,6 +6,7 @@ import pytest
 
 import lisrc.oracle
 from lisrc import (
+    LisrcError,
     NotMaximum,
     SizeMismatch,
     SwapStep,
@@ -59,6 +60,10 @@ class TestEnumerateFeasible:
         with pytest.raises(TooLarge):
             enumerate_feasible(seq, 17)
         assert len(enumerate_feasible(seq, 17, bound=17)) == 1
+
+    def test_negative_size_is_typed(self):
+        with pytest.raises(LisrcError, match="must be >= 0, got -1"):
+            enumerate_feasible(normalize((2, 1, 4, 3)), -1)
 
 
 class TestBuildReconfigGraph:
@@ -159,6 +164,12 @@ class TestOracleQueries:
             oracle_decide(seq, full, full)
         assert oracle_decide(seq, full, full, bound=20) is True
 
+    def test_negative_bound_is_typed(self):
+        seq = normalize((2, 1, 4, 3))
+        with pytest.raises(LisrcError, match="must be >= 0, got -1") as caught:
+            oracle_shortest(seq, (1, 3), (2, 4), bound=-1)
+        assert not isinstance(caught.value, TooLarge)
+
     def test_maximum_sets_cover_each_pile_once(self):
         from lisrc import build_piles
 
@@ -167,8 +178,9 @@ class TestOracleQueries:
             raw = bf.random_perm(rng, rng.randint(1, 10))
             seq = normalize(raw)
             ps = build_piles(seq)
+            pile_of = bf.deal_reference(raw)[0]
             for s in enumerate_feasible(seq, bf.lis_length(raw)):
-                assert sorted(ps.pile_of[i] for i in s) == list(range(1, ps.k + 1))
+                assert sorted(pile_of[i] for i in s) == list(range(1, ps.k + 1))
 
     def test_maximum_mode_distances_match_reference_exhaustively(self):
         for n in range(1, 7):

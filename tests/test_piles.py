@@ -21,7 +21,9 @@ from lisrc import (
 import bruteforce as bf
 from conftest import BIP, K22_NO, DETOUR
 
-DERIVED = {"pile_of", "depth_of", "blocker", "n"}
+# Per-element tables a PileSystem does not keep: queries locate members,
+# and `extract_canonical_max` blockers, by binary search in the piles.
+NOT_KEPT = ("pile_of", "depth_of", "blocker", "n")
 
 
 def corpus(seed=23, rounds=120, max_n=12):
@@ -44,7 +46,7 @@ class TestBuildPiles:
         assert ps.entries(seq, 1) == [(1, 7), (3, 5)]
         assert ps.entries(seq, 2) == [(2, 8), (4, 6)]
         # Who blocked whom, by raw value: 7<-0, 8<-7, 5<-0, 6<-5.
-        assert ps.blocker[1:] == (0, 1, 0, 3)
+        assert bf.deal_reference(K22_NO[0])[2][1:] == (0, 1, 0, 3)
 
     def test_increasing_sequence(self):
         ps = build_piles(normalize((1, 2, 3)))
@@ -74,10 +76,11 @@ class TestBuildPiles:
                 for a, b in zip(pile, pile[1:]):
                     assert a < b and seq.value(a) > seq.value(b)
                 for d, i in enumerate(pile):
-                    assert bf.pile_coord(ps, i) == (t, d)
+                    assert bf.pile_coord(raw, i) == (t, d)
+            pile_of, _, blocker = bf.deal_reference(raw)
             for i in range(1, seq.n + 1):
-                b = ps.blocker[i]
-                assert ps.pile_of[b] == ps.pile_of[i] - 1
+                b = blocker[i]
+                assert pile_of[b] == pile_of[i] - 1
                 assert b < i and seq.value(b) < seq.value(i)
 
     def test_one_member_per_pile(self):
@@ -85,8 +88,9 @@ class TestBuildPiles:
         for raw in corpus(seed=31, rounds=60):
             seq = normalize(raw)
             ps = build_piles(seq)
+            pile_of = bf.deal_reference(raw)[0]
             for s in bf.max_feasible_sets(raw):
-                hit = sorted(ps.pile_of[i] for i in s)
+                hit = sorted(pile_of[i] for i in s)
                 assert hit == list(range(1, ps.k + 1))
 
     def test_cross_pile_members_comparable(self):
@@ -94,15 +98,15 @@ class TestBuildPiles:
 
         for raw in corpus(seed=37, rounds=60):
             seq = normalize(raw)
-            ps = build_piles(seq)
+            pile_of = bf.deal_reference(raw)[0]
             for s in bf.max_feasible_sets(raw):
-                by_pile = sorted(s, key=lambda i: ps.pile_of[i])
+                by_pile = sorted(s, key=pile_of.__getitem__)
                 for u, v in zip(by_pile, by_pile[1:]):
                     assert precedes(seq, u, v)
 
 
 class TestDerivedCoordinates:
-    """Dealing keeps only the piles; the per-element fields come later."""
+    """Dealing keeps only the piles; coordinates and blockers follow from them."""
 
     @given(
         st.one_of(
@@ -121,16 +125,24 @@ class TestDerivedCoordinates:
     def test_match_dealing_reference(self, raw):
         ps = build_piles(normalize(raw))
         pile_of, depth_of, blocker = bf.deal_reference(raw)
-        assert ps.pile_of == pile_of
-        assert ps.depth_of == depth_of
-        assert ps.blocker == blocker
-        assert ps.n == len(raw)
+        assert sum(map(len, ps.piles)) == len(raw) + 1
+        for t, pile in enumerate(ps.piles):
+            assert [(pile_of[i], depth_of[i]) for i in pile] == [
+                (t, d) for d in range(len(pile))
+            ]
+        # The canonical chain follows the reference's blockers.
+        chain = []
+        cur = ps.piles[ps.k][0]
+        while cur != 0:
+            chain.append(cur)
+            cur = blocker[cur]
+        assert extract_canonical_max(ps) == tuple(sorted(chain))
 
     def test_piles_are_the_only_field(self):
         assert [f.name for f in dataclasses.fields(PileSystem)] == ["piles"]
         ps = build_piles(normalize(DETOUR[0]))
-        assert not DERIVED & vars(ps).keys()
-        assert ps.pile_of[6] == 2 and "pile_of" in vars(ps)
+        assert vars(ps).keys() == {"piles"}
+        assert not any(hasattr(ps, name) for name in NOT_KEPT)
 
     @pytest.mark.parametrize(
         "query",
@@ -146,7 +158,7 @@ class TestDerivedCoordinates:
         seq = normalize(instance[0])
         ps = build_piles(seq)
         query(seq, ps, instance[1], instance[2])
-        assert not DERIVED & vars(ps).keys()
+        assert vars(ps).keys() == {"piles"}
 
     def test_member_t_on_pile_t_exhaustive(self):
         # Every permutation of n <= 8: the t-th member (in index order) of
@@ -186,18 +198,14 @@ class TestExtractCanonicalMax:
 
 class TestPileCoord:
     def test_above_bottom(self):
-        ps = build_piles(normalize(K22_NO[0]))
-        assert bf.pile_coord(ps, 3) == (1, 1)
+        assert bf.pile_coord(K22_NO[0], 3) == (1, 1)
 
     def test_sentinel(self):
-        ps = build_piles(normalize(K22_NO[0]))
-        assert bf.pile_coord(ps, 0) == (0, 0)
+        assert bf.pile_coord(K22_NO[0], 0) == (0, 0)
 
     def test_deep_entry(self):
-        ps = build_piles(normalize(DETOUR[0]))
-        assert bf.pile_coord(ps, 6) == (2, 2)
+        assert bf.pile_coord(DETOUR[0], 6) == (2, 2)
 
     def test_out_of_range(self):
-        ps = build_piles(normalize(K22_NO[0]))
         with pytest.raises(IndexOutOfRange):
-            bf.pile_coord(ps, 5)
+            bf.pile_coord(K22_NO[0], 5)

@@ -32,10 +32,11 @@ def naive_downward_moves(seq, ps, s):
     """Order-free reference: try every same-pile deeper entry directly."""
     moves = set()
     members = set(s)
+    pile_of, depth_of, _ = bf.deal_reference(seq.raw)
     for v in sorted(members):
-        t, d = ps.pile_of[v], ps.depth_of[v]
+        t, d = pile_of[v], depth_of[v]
         for u in ps.piles[t]:
-            if ps.depth_of[u] < d and is_feasible(seq, members - {v} | {u}):
+            if depth_of[u] < d and is_feasible(seq, members - {v} | {u}):
                 moves.add((v, u))
     return moves
 
@@ -104,8 +105,9 @@ class TestDownwardMoves:
         for raw, s, _ in sample_instances(seed=7, rounds=80, max_n=10):
             seq = normalize(raw)
             ps = build_piles(seq)
+            pile_of, depth_of, _ = bf.deal_reference(raw)
             keys = [
-                (ps.pile_of[m.add], ps.depth_of[m.add])
+                (pile_of[m.add], depth_of[m.add])
                 for m in downward_moves(seq, ps, s)
             ]
             assert keys == sorted(keys)
@@ -114,9 +116,10 @@ class TestDownwardMoves:
         for raw, s, _ in sample_instances(seed=13, rounds=100, max_n=12):
             seq = normalize(raw)
             ps = build_piles(seq)
+            pile_of, depth_of, _ = bf.deal_reference(raw)
             for m in downward_moves(seq, ps, s):
-                assert ps.pile_of[m.remove] == ps.pile_of[m.add]
-                assert ps.depth_of[m.add] < ps.depth_of[m.remove]
+                assert pile_of[m.remove] == pile_of[m.add]
+                assert depth_of[m.add] < depth_of[m.remove]
 
 
 class TestMinimalSet:
@@ -170,7 +173,8 @@ class TestMinimalSet:
             ps = build_piles(seq)
             m, trace = minimal_set(seq, ps, s)
             assert downward_moves(seq, ps, m) == []
-            total_depth = sum(ps.depth_of[i] for i in s)
+            depth_of = bf.deal_reference(raw)[1]
+            total_depth = sum(depth_of[i] for i in s)
             assert len(trace) <= total_depth
             cur = tuple(sorted(s))
             assert trace.start == cur
@@ -178,7 +182,7 @@ class TestMinimalSet:
             for step in trace.steps:
                 cur = apply_step(cur, step)
                 assert is_maximum_feasible(seq, cur)
-                new_depth = sum(ps.depth_of[i] for i in cur)
+                new_depth = sum(depth_of[i] for i in cur)
                 assert new_depth < depth
                 depth = new_depth
             assert cur == m
@@ -316,17 +320,17 @@ class TestWitness:
                     assert (answer.minimal_i, answer.minimal_j) == (m_i, m_j)
                     assert (answer.walk is not None) == (j_set in part[i_set])
                     if answer.walk is not None:
-                        check_walk_through_meet(ps, answer.walk, j_set)
+                        check_walk_through_meet(raw, answer.walk, j_set)
                         assert len(answer.walk) <= len(trace_i) + len(trace_j)
                         # One swap can fix at most one private element.
                         assert len(answer.walk) >= len(set(i_set) - set(j_set))
 
 
-def check_walk_through_meet(ps, rs, j_set):
+def check_walk_through_meet(raw, rs, j_set):
     """The walk replays to J, moving down to I∧J first and then only up."""
     sets = list(bf.replay_sets(rs))
     assert sets[-1] == j_set
-    depth = ps.depth_of
+    depth = bf.deal_reference(raw)[1]
     down = 0
     while down < len(rs) and depth[rs.added[down]] < depth[rs.removed[down]]:
         down += 1
