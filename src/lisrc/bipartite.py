@@ -158,7 +158,7 @@ def _mixed(
 ) -> list[MixedPile]:
     """`mixed_piles` of two validated maximum sets, O(k).
 
-    The t-th member of a maximum set lies on pile t (`reconfig._per_pile`).
+    The t-th member of a maximum set lies on pile t (`reconfig._placed`).
     """
     return [
         MixedPile(pile=t, i_elem=x, j_elem=y)

@@ -312,11 +312,11 @@ def _cmd_reconfigure(args) -> int:
     seq, i_set, j_set = _load(args)
     answer = reconfigure(seq, i_set, j_set)
     yes = answer.walk is not None
-    payload: dict = {
-        "answer": "yes" if yes else "no",
-        "minimal_I": list(answer.minimal_i),
-        "minimal_J": list(answer.minimal_j),
-    }
+    payload: dict = {"answer": "yes" if yes else "no"}
+    if args.json:
+        # Reading the representatives runs their descent: JSON only.
+        payload["minimal_I"] = list(answer.minimal_i)
+        payload["minimal_J"] = list(answer.minimal_j)
     lines: Iterable[str] = ["YES" if yes else "NO"]
     walk = answer.walk if args.command == "witness" else None
     if walk is not None:

@@ -13,7 +13,7 @@ position order and the pile count equals the longest-chain length.
 
 Dealing records only the piles themselves, and a `PileSystem` keeps
 nothing else.  Each query locates its k members by one binary search in
-their own piles (`reconfig._per_pile`), and a blocker is found the same
+their own piles (`reconfig._placed`), and a blocker is found the same
 way: it is the last entry of pile t - 1 whose index is below the
 element's.
 """

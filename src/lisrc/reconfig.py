@@ -33,15 +33,17 @@ of per-pile depths:
 - NO.  If both clamped descents end at the same set, I's half joined
   with J's half reversed connects I and J; so on NO they end apart.
 
-`reconfigure` is the one query: it returns both representatives and, when
-they coincide, a walk (`Answer`); `decide` and `witness` read it.  Sets
-are validated by `require_maximum` (a single set) and `require_pair` (the
+`reconfigure` is the one query: it returns an `Answer`, which holds a
+walk when the representatives coincide and computes the representatives
+only when they are read; `decide` and `witness` read the walk.  Sets are
+validated by `require_maximum` (a single set) and `require_pair` (the
 two sets of one query), both built on `seqcore.require_feasible`.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
@@ -195,25 +197,32 @@ def is_maximum_feasible(seq: Sequence, s: Iterable[int]) -> bool:
     return True
 
 
-def _per_pile(ps: PileSystem, members: FeasibleSet) -> list[int]:
-    """Map pile id -> the member element in that pile (slot 0: sentinel).
+# A set on the piles: its member and that member's depth on each pile.
+_Placed = tuple[list[int], list[int]]
+
+
+def _placed(ps: PileSystem, members: FeasibleSet) -> _Placed:
+    """The member on each pile and its depth there (slot 0: sentinel).
 
     `members` is a sorted maximum feasible set, and its t-th member lies
     on pile t.  Proof sketch: an element's pile id is the length of the
     longest increasing run of positions ending at it (the sentinel not
     counted), so along an increasing sequence pile ids strictly increase;
     a set of size k meets k distinct piles among 1..k, in member order.
-    The assertion confirms each member by one binary search in its pile
-    (piles are sorted by index), O(k log n) in all, without the
-    per-element pile ids.
+    One binary search per member in its pile (piles are sorted by index)
+    gives its depth, and the assertion confirms the member is there,
+    O(k log n) in all, without the per-element pile ids.  Callers pass
+    validated sets, so no result depends on the assertion.
     """
     chosen = [0, *members]
     message = "maximum feasible set must hit each pile once"
     assert len(chosen) == len(ps.piles), message
+    depth = []
     for pile, i in zip(ps.piles, chosen):
         d = bisect_left(pile, i)
         assert d < len(pile) and pile[d] == i, message
-    return chosen
+        depth.append(d)
+    return chosen, depth
 
 
 def _lowest_depth(
@@ -240,7 +249,9 @@ def _lowest_depth(
     result at least `floor`, and the value search to the depths between
     that result and `d`.  The answer is the larger of `floor` and the
     suffix's first depth when that is below `d`, and `d` (no move)
-    exactly when it is not.
+    exactly when it is not.  The argument needs only that depth `d`
+    fits: `_descend` passes the depth just below the member once it has
+    seen that one fit.
     """
     lo = bisect_right(pile_idx, left_index, floor, d)
     hi = d
@@ -262,30 +273,20 @@ def downward_moves(
     (largest depth gap first).  Requires a maximum feasible set.
     """
     members = require_maximum(seq, ps, s)
-    chosen = _per_pile(ps, members)
+    chosen, depth = _placed(ps, members)
     perm, k = seq.perm, ps.k
     moves: list[SwapStep] = []
     for t in range(1, k + 1):
         v = chosen[t]
         pile_idx = ps.piles[t]
-        d = bisect_left(pile_idx, v)
+        d = depth[t]
         if d == 0:
             continue
         right_value = perm[chosen[t + 1] - 1] if t < k else seq.n + 1
         lo = _lowest_depth(perm, pile_idx, chosen[t - 1], right_value, d)
-        for depth in range(lo, d):
-            moves.append(SwapStep(remove=v, add=pile_idx[depth]))
+        for target in range(lo, d):
+            moves.append(SwapStep(remove=v, add=pile_idx[target]))
     return moves
-
-
-# A set on the piles: its member and that member's depth on each pile.
-_Placed = tuple[list[int], list[int]]
-
-
-def _placed(ps: PileSystem, members: FeasibleSet) -> _Placed:
-    """The member on each pile (`_per_pile`) and its depth there (slot 0: sentinel)."""
-    chosen = _per_pile(ps, members)
-    return chosen, [bisect_left(pile, i) for pile, i in zip(ps.piles, chosen)]
 
 
 def _descend(
@@ -304,9 +305,12 @@ def _descend(
     The lowest pile id that admits a move goes first, to the lowest
     reachable depth not below its floor (`_lowest_depth`).  A pile is
     re-examined only after one of its neighbours moved, and only piles
-    above their floor enter the worklist, so the descent costs
-    O((k + moves) log n).  `last_value` is n + 1, the bound to the right
-    of the last pile.
+    above their floor enter the worklist.  An examination first tests
+    the one entry just below the member in O(1): by `_lowest_depth`'s
+    suffix argument, when that entry does not fit no deeper one does,
+    and when it fits the search finds a move.  So every search moves a
+    pile, and the descent costs O((k + moves) log n), heap included.
+    `last_value` is n + 1, the bound to the right of the last pile.
     """
     removed: list[int] = []
     added: list[int] = []
@@ -315,20 +319,26 @@ def _descend(
     while heap:
         t = heappop(heap)
         d = depth[t]
+        # A pile pushed twice may have reached its floor in between.
+        if d == floor[t]:
+            continue
         pile_idx = piles[t]
+        left_index = chosen[t - 1]
         right_value = perm[chosen[t + 1] - 1] if t < k else last_value
-        lo = _lowest_depth(perm, pile_idx, chosen[t - 1], right_value, d, floor[t])
-        if lo < d:
-            u = pile_idx[lo]
-            removed.append(chosen[t])
-            added.append(u)
-            chosen[t] = u
-            depth[t] = lo
-            # Only the two pile neighbors gain new room to move.
-            if t > 1 and depth[t - 1] > floor[t - 1]:
-                heappush(heap, t - 1)
-            if t < k and depth[t + 1] > floor[t + 1]:
-                heappush(heap, t + 1)
+        below = pile_idx[d - 1]
+        if below < left_index or perm[below - 1] > right_value:
+            continue
+        lo = _lowest_depth(perm, pile_idx, left_index, right_value, d - 1, floor[t])
+        u = pile_idx[lo]
+        removed.append(chosen[t])
+        added.append(u)
+        chosen[t] = u
+        depth[t] = lo
+        # Only the two pile neighbors gain new room to move.
+        if t > 1 and depth[t - 1] > floor[t - 1]:
+            heappush(heap, t - 1)
+        if t < k and depth[t + 1] > floor[t + 1]:
+            heappush(heap, t + 1)
     return removed, added
 
 
@@ -354,19 +364,46 @@ def minimal_set(
     return tuple(chosen[1:]), descent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Answer:
-    """Both canonical representatives and, on YES, a walk from I to J.
+    """On YES a walk from I to J, and both canonical representatives on demand.
 
     `walk` is None exactly when the representatives differ (NO).  The walk
     descends from I to I∧J, the per-pile minimum of I and J, and then
     climbs from I∧J to J along J's descent to I∧J run backwards; it need
     not be length-minimal, but it never passes below I∧J.
+
+    `minimal_i` and `minimal_j` are computed on their first read and then
+    cached: the clamped descents continue with floor 0 (step 4 of
+    `reconfigure`), once on YES, where both sides stand at I∧J and both
+    names hold the same tuple, and once per side on NO.  For that an
+    Answer keeps the sequence, its piles and the clamped end points
+    referenced for as long as it lives, O(n) memory.
     """
 
-    minimal_i: FeasibleSet
-    minimal_j: FeasibleSet
     walk: ReconfSequence | None
+    _seq: Sequence = field(repr=False)
+    _ps: PileSystem = field(repr=False)
+    # `chosen`/`depth` of each side still to descend, edited in place.
+    _ends: tuple[_Placed, ...] = field(repr=False)
+
+    @property
+    def minimal_i(self) -> FeasibleSet:
+        """I's canonical representative."""
+        return self._representatives[0]
+
+    @property
+    def minimal_j(self) -> FeasibleSet:
+        """J's canonical representative, the same tuple as I's on YES."""
+        return self._representatives[-1]
+
+    @cached_property
+    def _representatives(self) -> tuple[FeasibleSet, ...]:
+        seq, ps = self._seq, self._ps
+        bottom = [0] * len(ps.piles)
+        for chosen, depth in self._ends:
+            _descend(seq.perm, ps.piles, ps.k, seq.n + 1, chosen, depth, bottom)
+        return tuple(tuple(chosen[1:]) for chosen, _ in self._ends)
 
 
 def _meet_walk(
@@ -409,8 +446,9 @@ def reconfigure(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> An
        then I∧J (module docstring).  The walk is I's clamped descent
        followed by J's run backwards, each of its swaps inverted: joined
        by slicing the flat step lists.
-    4. Continue the descent with floor 0 to the representatives: once on
-       YES, where both sides stand at I∧J, and once per side on NO.
+    4. Continue the descent with floor 0 to the representatives, on the
+       first read of `minimal_i` or `minimal_j` (`Answer`): once on YES,
+       where both sides stand at I∧J, and once per side on NO.
 
     By confluence the representatives are `minimal_set`'s.  When I = J
     the meet is I itself, so the walk is empty:
@@ -424,17 +462,8 @@ def reconfigure(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> An
     """
     ps = build_piles(seq)
     members_i, members_j = require_pair(seq, ps, i_set, j_set)
-    walk, (chosen_i, depth_i), (chosen_j, depth_j) = _meet_walk(
-        seq, ps, members_i, members_j
-    )
-    perm, piles, k, last_value = seq.perm, ps.piles, ps.k, seq.n + 1
-    bottom = [0] * len(depth_i)
-    if walk is None:
-        _descend(perm, piles, k, last_value, chosen_j, depth_j, bottom)
-    _descend(perm, piles, k, last_value, chosen_i, depth_i, bottom)
-    m_i = tuple(chosen_i[1:])
-    m_j = m_i if walk is not None else tuple(chosen_j[1:])
-    return Answer(minimal_i=m_i, minimal_j=m_j, walk=walk)
+    walk, end_i, end_j = _meet_walk(seq, ps, members_i, members_j)
+    return Answer(walk, seq, ps, (end_i,) if walk is not None else (end_i, end_j))
 
 
 def decide(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> bool:

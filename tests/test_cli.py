@@ -282,6 +282,46 @@ class TestRun:
         capsys.readouterr()
         assert len(calls) == 4
 
+    @pytest.mark.parametrize(
+        "path, continuations", [(DETOUR_FILE, 1), (K22_FILE, 2)], ids=["yes", "no"]
+    )
+    def test_text_never_descends_to_the_representatives(
+        self, path, continuations, capsys, monkeypatch
+    ):
+        # The two clamped descents answer; only --json prints minimal_I and
+        # minimal_J, whose descent runs once on YES and once per side on NO.
+        calls = []
+        descend = lisrc.reconfig._descend
+
+        def counting(*args):
+            calls.append(args)
+            return descend(*args)
+
+        monkeypatch.setattr(lisrc.reconfig, "_descend", counting)
+        for command in ("decide", "witness"):
+            for flags, expected in [([], 2), (["--json"], 2 + continuations)]:
+                calls.clear()
+                assert run([command, *flags, path]) == 0
+                capsys.readouterr()
+                assert len(calls) == expected, (command, flags)
+
+    @pytest.mark.parametrize(
+        "argv", [["decide", "--json"], ["witness"], ["shortest"]], ids=lambda a: a[0]
+    )
+    def test_optimized_interpreter_prints_the_same(self, argv, capsys):
+        # `python -O` drops the membership asserts in `reconfig._placed`,
+        # so no output may depend on them.
+        for path in sorted(DATA.glob("*.txt")):
+            status = run([*argv, str(path)])
+            expected = capsys.readouterr().out
+            done = subprocess.run(
+                [sys.executable, "-O", "-m", "lisrc.cli", *argv, str(path)],
+                capture_output=True,
+                env=LISRC_ENV,
+                timeout=60,
+            )
+            assert (done.returncode, done.stdout.decode()) == (status, expected), path
+
     def test_shortest_reports_forbidden_pair(self, capsys):
         assert run(["shortest", K22_FILE]) == 0
         out = capsys.readouterr().out

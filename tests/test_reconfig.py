@@ -22,7 +22,8 @@ from lisrc import (
     reconfigure,
     witness,
 )
-from lisrc.reconfig import _per_pile
+import lisrc.reconfig
+from lisrc.reconfig import _placed
 
 import bruteforce as bf
 from conftest import K22_NO, DETOUR
@@ -223,7 +224,7 @@ class TestMinimalSet:
 class TestPerPile:
     def test_member_t_is_pile_t(self):
         ps = build_piles(normalize(DETOUR[0]))
-        assert _per_pile(ps, (2, 4, 5)) == [0, 2, 4, 5]
+        assert _placed(ps, (2, 4, 5))[0] == [0, 2, 4, 5]
 
     @pytest.mark.parametrize(
         "members",
@@ -234,7 +235,7 @@ class TestPerPile:
         # Sets that skipped validation: the assertion still catches them.
         ps = build_piles(normalize(K22_NO[0]))
         with pytest.raises(AssertionError, match="each pile once"):
-            _per_pile(ps, members)
+            _placed(ps, members)[0]
 
 
 class TestDecide:
@@ -337,6 +338,79 @@ def check_walk_through_meet(raw, rs, j_set):
     assert all(depth[a] > depth[r] for r, a in zip(rs.removed[down:], rs.added[down:]))
     meet = tuple(min(a, b, key=depth.__getitem__) for a, b in zip(rs.start, j_set))
     assert sets[down] == meet
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """Count `_descend` calls and moves, and `_lowest_depth` searches."""
+    counts = {"calls": 0, "moves": 0, "searches": 0}
+    descend, lowest_depth = lisrc.reconfig._descend, lisrc.reconfig._lowest_depth
+
+    def counting_descend(*args):
+        removed, added = descend(*args)
+        counts["calls"] += 1
+        counts["moves"] += len(removed)
+        return removed, added
+
+    def counting_lowest_depth(*args):
+        counts["searches"] += 1
+        return lowest_depth(*args)
+
+    monkeypatch.setattr(lisrc.reconfig, "_descend", counting_descend)
+    monkeypatch.setattr(lisrc.reconfig, "_lowest_depth", counting_lowest_depth)
+    return counts
+
+
+class TestRepresentativesOnDemand:
+    @pytest.mark.parametrize(
+        "instance, yes", [(DETOUR, True), (K22_NO, False)], ids=["yes", "no"]
+    )
+    def test_descend_on_first_read_only(self, instance, yes, descents):
+        raw, i_set, j_set = instance
+        seq = normalize(raw)
+        assert decide(seq, i_set, j_set) is yes
+        assert descents["calls"] == 2
+        assert (witness(seq, i_set, j_set) is not None) is yes
+        assert descents["calls"] == 4
+        answer = reconfigure(seq, i_set, j_set)
+        assert descents["calls"] == 6
+        representatives = answer.minimal_i, answer.minimal_j
+        continuations = 1 if yes else 2
+        assert descents["calls"] == 6 + continuations
+        assert (answer.minimal_i, answer.minimal_j) == representatives
+        assert descents["calls"] == 6 + continuations
+        ps = build_piles(seq)
+        assert representatives == (
+            minimal_set(seq, ps, i_set)[0],
+            minimal_set(seq, ps, j_set)[0],
+        )
+
+
+class TestEverySearchMoves:
+    """Each `_lowest_depth` search inside `_descend` moves a pile."""
+
+    @staticmethod
+    def descend_every_way(seq, pairs):
+        ps = build_piles(seq)
+        for i_set, j_set in pairs:
+            minimal_set(seq, ps, i_set)
+            reconfigure(seq, i_set, j_set).minimal_i  # runs the continuation
+
+    def test_every_permutation_up_to_7(self, descents):
+        for n in range(1, 8):
+            for raw in itertools.permutations(range(1, n + 1)):
+                maxima = bf.max_feasible_sets(raw)
+                self.descend_every_way(normalize(raw), zip(maxima, reversed(maxima)))
+        assert descents["searches"] == descents["moves"] > 0
+
+    def test_staircase(self, descents):
+        # A pile never sits more than one level from its neighbours, so
+        # every move gives both neighbours room that they may not use.
+        raw, grid = bf.staircase(6, 12)
+        rng = random.Random(7)
+        sets = [bf.staircase_set(grid, 1, rng) for _ in range(20)]
+        self.descend_every_way(normalize(raw), zip(sets, reversed(sets)))
+        assert descents["searches"] == descents["moves"] > 0
 
 
 class TestApplyStep:
