@@ -108,9 +108,7 @@ def _int_tokens(lineno: int, line: str, distinct: bool = False) -> list[int]:
     for match in re.finditer(r"\S+", line):
         token = match.group()
         try:
-            if not re.fullmatch(r"-?[0-9]+", token):
-                raise ValueError
-            value = int(token)  # also refuses over 4300 digits by default
+            value = _strict_int(token)
         except ValueError:
             raise ParseError(
                 lineno, match.start() + 1, f"invalid integer {token!r}"
@@ -123,6 +121,18 @@ def _int_tokens(lineno: int, line: str, distinct: bool = False) -> list[int]:
             seen.add(value)
         values.append(value)
     return values
+
+
+def _strict_int(text: str) -> int:
+    """`text` as an int when it is an optional `-` then ASCII digits.
+
+    Anything else raises ValueError, where `int` alone would also read
+    `+`, `_`, surrounding whitespace and non-ASCII digits.  Instance
+    tokens, the numeric flags and LISRC_ORACLE_BOUND all follow this rule.
+    """
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)  # also refuses over 4300 digits by default
 
 
 def format_instance(
@@ -462,7 +472,7 @@ def _oracle_bound(args) -> int:
     if env is None:
         return orc.DEFAULT_BOUND
     try:
-        bound = int(env)
+        bound = _strict_int(env)
     except ValueError:
         raise LisrcError(
             f"{ORACLE_BOUND_ENV} must be an integer, got {env!r}"
@@ -476,15 +486,22 @@ def _oracle_bound(args) -> int:
 # Dispatch
 
 
+def _int_flag(text: str) -> int:
+    try:
+        return _strict_int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int_flag(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    value = _int_flag(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
@@ -548,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = add("gen", _cmd_gen, "generate a random instance", instance=False)
     p_gen.add_argument("-n", type=_positive_int, required=True, help="sequence length")
-    p_gen.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p_gen.add_argument("--seed", type=_int_flag, default=0, help="RNG seed (default 0)")
     p_gen.add_argument(
         "--bipartite",
         action="store_true",

@@ -8,11 +8,11 @@ read off two tables of per-index masks built once per query (which later
 indices hold a larger value, which earlier ones a smaller), at a cost of
 O(k + degree) big-int operations per state for sets of size k; the
 neighbour order, and so the walk found, is that of dropping each member
-in turn and adding each index that fits, lowest first.  The search runs
-through I's whole component rather than stopping at J, so a query costs
-in proportion to the size of that component, not to how far J lies from
-I.  `enumerate_feasible` and `build_reconfig_graph` materialise every
-set and every edge; they serve `lisrc oracle --enumerate` and `--dot`.
+in turn and adding each index that fits, lowest first.  The search stops
+once it has discovered J, so a YES costs in proportion to the ball of
+radius d(I, J) around I, and a NO to the size of I's component, which it
+exhausts.  `enumerate_feasible` and `build_reconfig_graph` materialise
+every set and every edge; they serve `lisrc oracle --enumerate` and `--dot`.
 Every entry point is guarded by a size bound, because the number of
 feasible sets can grow exponentially; callers may raise the bound
 explicitly.
@@ -167,9 +167,24 @@ def oracle_shortest(
 ) -> tuple[int, ReconfSequence] | None:
     """Minimal swap count and one shortest sequence, or None if disconnected.
 
-    Breadth-first from I through I's whole component.  In maximum mode
+    Breadth-first from I until J is discovered.  A YES expands only sets
+    at distance below d(I, J) from I, so its cost follows the ball of
+    radius d(I, J); a NO expands all of I's component.  In maximum mode
     every set of I's size is maximum, so the search over all sets of
     that size is the search over maximum sets.
+
+    Stopping early leaves the walk unchanged.  The walk is read from
+    `prev`, and BFS sets `prev[t]` when it first discovers t and never
+    changes it.  Up to J's discovery the states are discovered in the
+    same order whether or not the search goes on, and every state on the
+    tree path to J was discovered before J.  So the walk to J equals the
+    one a search through the whole component would give.  When I = J no
+    state is expanded:
+
+    >>> from lisrc.seqcore import normalize
+    >>> length, walk = oracle_shortest(normalize((2, 1)), (1,), (1,))
+    >>> length, walk.removed, walk.added
+    (0, (), ())
 
     A state is an int with bit i set for each member i.  Framed by the
     sentinels 0 and n + 1, members s_1 < ... < s_k leave k + 1 gaps, and
@@ -193,10 +208,13 @@ def oracle_shortest(
     later_larger, earlier_smaller = _mask_tables(seq.perm)
     top = seq.n + 1
     start = sum(1 << i for i in members_i)
+    target = sum(1 << i for i in members_j)
     prev: dict[int, int | None] = {start: None}
     # The list grows while it is walked, so the walk is a FIFO queue.
     order = [start]
     for s in order:
+        if target in prev:
+            break
         members = [0]
         rest = s
         while rest:
@@ -218,9 +236,9 @@ def oracle_shortest(
                     prev[t] = s
                     order.append(t)
                 into ^= low
-    t = sum(1 << i for i in members_j)
-    if t not in prev:
+    if target not in prev:
         return None
+    t = target
     removed: list[int] = []
     added: list[int] = []
     while (s := prev[t]) is not None:

@@ -545,6 +545,35 @@ class TestRun:
         assert run(["gen", "-n", "12", "--seed", "1"]) == 2
         assert "LISRC_ORACLE_BOUND must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1_6", "+3", "١٦", " 1", "1 ", ""])
+    @pytest.mark.parametrize("flag", ["-n", "--seed", "--max-oracle-n"])
+    def test_strict_integer_flags(self, capsys, flag, text):
+        # int() alone would read the first five as 16, 3, 16, 1 and 1.
+        rest = ["--seed", "1"] if flag == "-n" else ["-n", "3"]
+        assert run(["gen", *rest, flag, text]) == 2
+        assert f"argument {flag}: invalid integer {text!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1_6", "+3", "١٦", " 16", "16 ", ""])
+    def test_strict_integer_env(self, capsys, monkeypatch, text):
+        monkeypatch.setenv("LISRC_ORACLE_BOUND", text)
+        assert run(["oracle", K22_FILE]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: LISRC_ORACLE_BOUND must be an integer, got {text!r}\n"
+
+    def test_strict_integers_still_accepted(self, capsys, monkeypatch):
+        assert run(["gen", "-n", "3", "--seed", "-2", "--max-oracle-n", "0"]) == 0
+        assert capsys.readouterr().out.startswith("# lisrc gen n=3 seed=-2\n")
+        assert run(["gen", "-n", "03", "--seed", "010"]) == 0
+        assert capsys.readouterr().out.startswith("# lisrc gen n=3 seed=10\n")
+        assert run(["oracle", "--max-oracle-n", "16", K22_FILE]) == 0
+        assert capsys.readouterr().out == "NO\n"
+        monkeypatch.setenv("LISRC_ORACLE_BOUND", "4")
+        assert run(["oracle", K22_FILE]) == 0
+        assert capsys.readouterr().out == "NO\n"
+        monkeypatch.setenv("LISRC_ORACLE_BOUND", "3")
+        assert run(["oracle", K22_FILE]) == 2
+        assert "exceeds" in capsys.readouterr().err
+
     def test_json_deterministic(self, capsys):
         assert run(["decide", "--json", K22_FILE]) == 0
         first = capsys.readouterr().out

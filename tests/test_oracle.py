@@ -287,3 +287,90 @@ class TestWalkIdentity:
             prev = bf.swap_bfs(raw, i_set)
             for j_set in rng.choice(sets), rng.choice(list(prev)):
                 self.assert_same_walk(seq, raw, prev, i_set, j_set, False)
+
+    def test_merges_of_two_runs_at_sixteen(self):
+        # The shape of the oracle's largest queries: n = 16, a random merge
+        # of the runs 1..8 and 9..16, increasing sets of size 5.
+        rng = random.Random(45)
+        for _ in range(20):
+            first = set(rng.sample(range(16), 8))
+            runs = iter(range(1, 9)), iter(range(9, 17))
+            raw = tuple(next(runs[p not in first]) for p in range(16))
+            seq = normalize(raw)
+            sets = bf.feasible_sets(raw, 5)
+            i_set = rng.choice(sets)
+            prev = bf.swap_bfs(raw, i_set)
+            for j_set in rng.choice(sets), rng.choice(list(prev)):
+                self.assert_same_walk(seq, raw, prev, i_set, j_set, False)
+
+
+class TestEarlyStop:
+    """The search stops once it has discovered J; a NO exhausts I's component."""
+
+    @pytest.fixture
+    def expanded(self, monkeypatch):
+        """`oracle_shortest` returning (its answer, the states it expanded).
+
+        Expanding a state of size k reads the two mask tables 4k + 2 times:
+        two reads for each of its k + 1 gaps and two for each member dropped.
+        """
+        reads = [0]
+
+        class Counting(list):
+            def __getitem__(self, index):
+                reads[0] += 1
+                return super().__getitem__(index)
+
+        tables = lisrc.oracle._mask_tables
+        monkeypatch.setattr(
+            lisrc.oracle,
+            "_mask_tables",
+            lambda perm: tuple(Counting(table) for table in tables(perm)),
+        )
+
+        def search(seq, i_set, j_set, maximum_only):
+            reads[0] = 0
+            found = oracle_shortest(seq, i_set, j_set, maximum_only=maximum_only)
+            states, rest = divmod(reads[0], 4 * len(i_set) + 2)
+            assert rest == 0
+            return found, states
+
+        return search
+
+    @pytest.mark.parametrize("maximum_only", [True, False])
+    def test_identical_sets_expand_nothing(self, expanded, maximum_only):
+        seq = normalize(DETOUR[0])
+        found, states = expanded(seq, DETOUR[1], DETOUR[1], maximum_only)
+        assert states == 0
+        length, walk = found
+        assert length == 0 and (walk.removed, walk.added) == ((), ())
+
+    @pytest.mark.parametrize("maximum_only", [True, False])
+    def test_one_swap_expands_one_state(self, expanded, maximum_only):
+        seq = normalize(DETOUR[0])
+        found, states = expanded(seq, (1, 3, 5), (2, 3, 5), maximum_only)
+        assert states == 1 and found[0] == 1
+
+    @pytest.mark.parametrize(
+        "raw, i_set, j_set, maximum_only",
+        [
+            (*K22_NO, True),
+            (*K22_NO, False),
+            ((3, 4, 5, 1, 2), (1, 2), (4, 5), False),
+        ],
+    )
+    def test_no_exhausts_the_component(
+        self, expanded, raw, i_set, j_set, maximum_only
+    ):
+        found, states = expanded(normalize(raw), i_set, j_set, maximum_only)
+        assert found is None
+        assert states == len(bf.swap_bfs(raw, i_set))
+
+    def test_one_swap_among_many_sets(self, expanded):
+        # All 12,870 sets of size 8 of the identity at n = 16 form one
+        # component; J is one swap from I, so only I is expanded.
+        seq = normalize(range(1, 17))
+        i_set, j_set = tuple(range(1, 9)), (*range(1, 8), 9)
+        found, states = expanded(seq, i_set, j_set, False)
+        assert states == 1
+        assert found[1].steps == (SwapStep(remove=8, add=9),)
