@@ -6,13 +6,17 @@ they differ in exactly one element.  `oracle_shortest` and
 A state is an int bitmask over the indices 1..n, and its neighbours are
 read off two tables of per-index masks built once per query (which later
 indices hold a larger value, which earlier ones a smaller), at a cost of
-O(k + degree) big-int operations per state for sets of size k; the
-neighbour order, and so the walk found, is that of dropping each member
-in turn and adding each index that fits, lowest first.  The search stops
-once it has discovered J, so a YES costs in proportion to the ball of
-radius d(I, J) around I, and a NO to the size of I's component, which it
-exhausts.  `enumerate_feasible` and `build_reconfig_graph` materialise
-every set and every edge; they serve `lisrc oracle --enumerate` and `--dot`.
+O(k) big-int operations per state for sets of size k, plus one per
+set generated; the neighbour order, and so the walk found, is that of
+dropping each member in turn and adding each index that fits, lowest
+first.  The search runs through I's whole component rather than
+stopping at J, so a query costs in proportion to the size of that
+component, not to how far J lies from I.  The sets one drop away from a
+common (k - 1)-set are pairwise one swap apart, so the first state to
+drop into that (k - 1)-set discovers all of them, and later states skip
+it: each set is generated at most k times, not once per edge.
+`enumerate_feasible` and `build_reconfig_graph` materialise every set
+and every edge; they serve `lisrc oracle --enumerate` and `--dot`.
 Every entry point is guarded by a size bound, because the number of
 feasible sets can grow exponentially; callers may raise the bound
 explicitly.
@@ -167,19 +171,11 @@ def oracle_shortest(
 ) -> tuple[int, ReconfSequence] | None:
     """Minimal swap count and one shortest sequence, or None if disconnected.
 
-    Breadth-first from I until J is discovered.  A YES expands only sets
-    at distance below d(I, J) from I, so its cost follows the ball of
-    radius d(I, J); a NO expands all of I's component.  In maximum mode
-    every set of I's size is maximum, so the search over all sets of
-    that size is the search over maximum sets.
-
-    Stopping early leaves the walk unchanged.  The walk is read from
-    `prev`, and BFS sets `prev[t]` when it first discovers t and never
-    changes it.  Up to J's discovery the states are discovered in the
-    same order whether or not the search goes on, and every state on the
-    tree path to J was discovered before J.  So the walk to J equals the
-    one a search through the whole component would give.  When I = J no
-    state is expanded:
+    Breadth-first from I through I's whole component, whether or not J
+    lies in it, so the cost of a query follows the size of I's component
+    and not d(I, J).  In maximum mode every set of I's size is maximum,
+    so the search over all sets of that size is the search over maximum
+    sets.  When I = J the walk is empty:
 
     >>> from lisrc.seqcore import normalize
     >>> length, walk = oracle_shortest(normalize((2, 1)), (1,), (1,))
@@ -193,14 +189,21 @@ def oracle_shortest(
     ORs all k + 1 of them.  Dropping s_r merges its two gaps into the one
     between s_r-1 and s_r+1, whose mask `merged` contains both of them
     and s_r itself, so the indices that may replace s_r are
-    `(union | merged) ^ bit(s_r)`.  A state thus costs O(k + degree)
-    big-int operations: its members are decoded and its gaps ANDed once.
-    Candidates are taken lowest bit first, and the gaps of the set left
-    after the drop are disjoint ranges of consecutive indices in
-    ascending order, so neighbours come in the order dropped member,
-    then gap, then index; the walk found is fixed by that order.  Each
-    neighbour determines its dropped member and added index, so it is
-    generated once.
+    `(union | merged) ^ bit(s_r)`.  Candidates are taken lowest bit
+    first, and the gaps of the set left after the drop are disjoint
+    ranges of consecutive indices in ascending order, so neighbours come
+    in the order dropped member, then gap, then index; the walk found is
+    fixed by that order.
+
+    The feasible sets that contain a given (k - 1)-set B form a clique:
+    any two differ in one index.  When the first of them is expanded,
+    dropping its member outside B discovers all the others, so for every
+    later one that drop discovers nothing and changes no `prev` entry.
+    The search records each B it has dropped to (`dropped`) and skips it
+    when it recurs; `prev`, and so the walk, are those of the search
+    without the skip.  A state costs O(k) big-int operations to decode
+    its members and AND its gaps, and each set is generated at most k
+    times, once per member it may lose, rather than once per edge.
     """
     _check_bound(seq, bound)
     ps = build_piles(seq) if maximum_only else None
@@ -208,13 +211,11 @@ def oracle_shortest(
     later_larger, earlier_smaller = _mask_tables(seq.perm)
     top = seq.n + 1
     start = sum(1 << i for i in members_i)
-    target = sum(1 << i for i in members_j)
     prev: dict[int, int | None] = {start: None}
+    dropped: set[int] = set()
     # The list grows while it is walked, so the walk is a FIFO queue.
     order = [start]
     for s in order:
-        if target in prev:
-            break
         members = [0]
         rest = s
         while rest:
@@ -227,8 +228,11 @@ def oracle_shortest(
             union |= later_larger[lo] & earlier_smaller[hi]
         for lo, member, hi in zip(members, members[1:], members[2:]):
             out = 1 << member
-            into = (union | (later_larger[lo] & earlier_smaller[hi])) ^ out
             base = s ^ out
+            if base in dropped:
+                continue
+            dropped.add(base)
+            into = (union | (later_larger[lo] & earlier_smaller[hi])) ^ out
             while into:
                 low = into & -into
                 t = base | low
@@ -236,9 +240,9 @@ def oracle_shortest(
                     prev[t] = s
                     order.append(t)
                 into ^= low
-    if target not in prev:
+    t = sum(1 << i for i in members_j)
+    if t not in prev:
         return None
-    t = target
     removed: list[int] = []
     added: list[int] = []
     while (s := prev[t]) is not None:

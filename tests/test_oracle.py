@@ -304,21 +304,23 @@ class TestWalkIdentity:
                 self.assert_same_walk(seq, raw, prev, i_set, j_set, False)
 
 
-class TestEarlyStop:
-    """The search stops once it has discovered J; a NO exhausts I's component."""
+class TestWholeComponent:
+    """The search runs through I's whole component whatever J is, and it
+    drops to each (k - 1)-set once."""
 
     @pytest.fixture
-    def expanded(self, monkeypatch):
-        """`oracle_shortest` returning (its answer, the states it expanded).
+    def reads(self, monkeypatch):
+        """`oracle_shortest` returning (its answer, its mask-table reads).
 
-        Expanding a state of size k reads the two mask tables 4k + 2 times:
-        two reads for each of its k + 1 gaps and two for each member dropped.
+        Expanding a state of size k reads the two tables 2(k + 1) times,
+        two for each gap, and dropping a member to a (k - 1)-set not met
+        before reads them twice more.
         """
-        reads = [0]
+        count = [0]
 
         class Counting(list):
             def __getitem__(self, index):
-                reads[0] += 1
+                count[0] += 1
                 return super().__getitem__(index)
 
         tables = lisrc.oracle._mask_tables
@@ -329,27 +331,28 @@ class TestEarlyStop:
         )
 
         def search(seq, i_set, j_set, maximum_only):
-            reads[0] = 0
+            count[0] = 0
             found = oracle_shortest(seq, i_set, j_set, maximum_only=maximum_only)
-            states, rest = divmod(reads[0], 4 * len(i_set) + 2)
-            assert rest == 0
-            return found, states
+            return found, count[0]
 
         return search
 
-    @pytest.mark.parametrize("maximum_only", [True, False])
-    def test_identical_sets_expand_nothing(self, expanded, maximum_only):
-        seq = normalize(DETOUR[0])
-        found, states = expanded(seq, DETOUR[1], DETOUR[1], maximum_only)
-        assert states == 0
-        length, walk = found
-        assert length == 0 and (walk.removed, walk.added) == ((), ())
+    @staticmethod
+    def component_reads(raw, i_set):
+        """Table reads of a search through I's component, from the reference BFS."""
+        component = bf.swap_bfs(raw, i_set)
+        dropped = {s[:r] + s[r + 1 :] for s in component for r in range(len(s))}
+        return 2 * (len(i_set) + 1) * len(component) + 2 * len(dropped)
 
     @pytest.mark.parametrize("maximum_only", [True, False])
-    def test_one_swap_expands_one_state(self, expanded, maximum_only):
-        seq = normalize(DETOUR[0])
-        found, states = expanded(seq, (1, 3, 5), (2, 3, 5), maximum_only)
-        assert states == 1 and found[0] == 1
+    def test_every_target_costs_the_same(self, reads, maximum_only):
+        raw, i_set, _ = DETOUR
+        seq = normalize(raw)
+        expected = self.component_reads(raw, i_set)
+        for j_set in bf.swap_bfs(raw, i_set):
+            found, count = reads(seq, i_set, j_set, maximum_only)
+            assert found[0] == len(bf.bfs_walk(bf.swap_bfs(raw, i_set), j_set)[0])
+            assert count == expected, j_set
 
     @pytest.mark.parametrize(
         "raw, i_set, j_set, maximum_only",
@@ -359,18 +362,23 @@ class TestEarlyStop:
             ((3, 4, 5, 1, 2), (1, 2), (4, 5), False),
         ],
     )
-    def test_no_exhausts_the_component(
-        self, expanded, raw, i_set, j_set, maximum_only
+    def test_no_costs_what_i_equal_to_j_costs(
+        self, reads, raw, i_set, j_set, maximum_only
     ):
-        found, states = expanded(normalize(raw), i_set, j_set, maximum_only)
+        seq = normalize(raw)
+        found, count = reads(seq, i_set, j_set, maximum_only)
         assert found is None
-        assert states == len(bf.swap_bfs(raw, i_set))
+        assert count == self.component_reads(raw, i_set)
+        found, same = reads(seq, i_set, i_set, maximum_only)
+        assert found[0] == 0 and same == count
 
-    def test_one_swap_among_many_sets(self, expanded):
-        # All 12,870 sets of size 8 of the identity at n = 16 form one
-        # component; J is one swap from I, so only I is expanded.
+    def test_one_swap_among_many_sets(self, reads):
+        # All C(16, 8) = 12,870 sets of size 8 of the identity at n = 16
+        # form one component, which the search runs through although J is
+        # one swap from I.  They contain all C(16, 7) = 11,440 sets of
+        # size 7; without the skip every state would read 4k + 2 = 34 times.
         seq = normalize(range(1, 17))
         i_set, j_set = tuple(range(1, 9)), (*range(1, 8), 9)
-        found, states = expanded(seq, i_set, j_set, False)
-        assert states == 1
+        found, count = reads(seq, i_set, j_set, False)
         assert found[1].steps == (SwapStep(remove=8, add=9),)
+        assert count == 2 * 9 * 12_870 + 2 * 11_440
