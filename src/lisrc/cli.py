@@ -516,20 +516,26 @@ def build_parser() -> argparse.ArgumentParser:
     `run` pay for it once.  Parsing leaves it unchanged; each call gets a
     fresh namespace.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
+    # Each flag goes only to the subcommands that read it; elsewhere it
+    # is a usage error, not silently ignored.
+    file_arg, json_arg, status_arg, bound_arg = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4)
+    )
+    file_arg.add_argument("instance", help="instance file")
+    json_arg.add_argument("--json", action="store_true", help="machine-readable output")
+    status_arg.add_argument(
         "--exit-status",
         action="store_true",
         help="exit 0 for YES, 1 for NO (errors stay 2)",
     )
-    common.add_argument(
+    bound_arg.add_argument(
         "--max-oracle-n",
         type=_nonnegative_int,
         metavar="N",
         help=f"exhaustive-search size bound (default {orc.DEFAULT_BOUND}; "
         f"env {ORACLE_BOUND_ENV})",
     )
+    query = (file_arg, json_arg, status_arg)
 
     parser = argparse.ArgumentParser(
         prog="lisrc",
@@ -537,23 +543,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, instance: bool = True):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        if instance:
-            p.add_argument("instance", help="instance file")
+    def add(name: str, func, help_text: str, *parents: argparse.ArgumentParser):
+        p = sub.add_parser(name, parents=parents, help=help_text)
         p.set_defaults(func=func)
         return p
 
-    add("decide", _cmd_reconfigure, "can I be reconfigured into J?")
-    add("witness", _cmd_reconfigure, "print one reconfiguration sequence")
-    add("shortest", _cmd_shortest, "shortest sequence (bipartite graphs only)")
-    add("piles", _cmd_piles, "print the pile structure")
-    add("graph", _cmd_graph, "emit the permutation graph as DOT")
-    add("check", _cmd_check, "validate an instance file")
+    add("decide", _cmd_reconfigure, "can I be reconfigured into J?", *query)
+    add("witness", _cmd_reconfigure, "print one reconfiguration sequence", *query)
+    add("shortest", _cmd_shortest, "shortest sequence (bipartite graphs only)", *query)
+    add("piles", _cmd_piles, "print the pile structure", file_arg, json_arg)
+    add("graph", _cmd_graph, "emit the permutation graph as DOT", file_arg, json_arg)
+    add("check", _cmd_check, "validate an instance file", file_arg, json_arg)
 
-    p_oracle = add("oracle", _cmd_oracle, "brute-force reference answers")
+    oracle_help = "brute-force reference answers (default: connectivity)"
+    p_oracle = add("oracle", _cmd_oracle, oracle_help, *query, bound_arg)
     mode = p_oracle.add_mutually_exclusive_group()
-    mode.add_argument("--decide", action="store_true", help="connectivity (default)")
     mode.add_argument("--shortest", action="store_true", help="BFS shortest sequence")
     mode.add_argument("--enumerate", action="store_true", help="list feasible sets")
     mode.add_argument("--dot", action="store_true", help="swap graph as DOT")
@@ -563,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="allow non-maximum feasible sets of equal size",
     )
 
-    p_gen = add("gen", _cmd_gen, "generate a random instance", instance=False)
+    p_gen = add("gen", _cmd_gen, "generate a random instance", bound_arg)
     p_gen.add_argument("-n", type=_positive_int, required=True, help="sequence length")
     p_gen.add_argument("--seed", type=_int_flag, default=0, help="RNG seed (default 0)")
     p_gen.add_argument(

@@ -197,11 +197,7 @@ def is_maximum_feasible(seq: Sequence, s: Iterable[int]) -> bool:
     return True
 
 
-# A set on the piles: its member and that member's depth on each pile.
-_Placed = tuple[list[int], list[int]]
-
-
-def _placed(ps: PileSystem, members: FeasibleSet) -> _Placed:
+def _placed(ps: PileSystem, members: FeasibleSet) -> tuple[list[int], list[int]]:
     """The member on each pile and its depth there (slot 0: sentinel).
 
     `members` is a sorted maximum feasible set, and its t-th member lies
@@ -374,18 +370,19 @@ class Answer:
     not be length-minimal, but it never passes below I∧J.
 
     `minimal_i` and `minimal_j` are computed on their first read and then
-    cached: the clamped descents continue with floor 0 (step 4 of
+    cached: `minimal_set` descends from the clamped end points (step 4 of
     `reconfigure`), once on YES, where both sides stand at I∧J and both
     names hold the same tuple, and once per side on NO.  For that an
     Answer keeps the sequence, its piles and the clamped end points
-    referenced for as long as it lives, O(n) memory.
+    referenced for as long as it lives, O(n) memory; a read mutates none
+    of them.
     """
 
     walk: ReconfSequence | None
     _seq: Sequence = field(repr=False)
     _ps: PileSystem = field(repr=False)
-    # `chosen`/`depth` of each side still to descend, edited in place.
-    _ends: tuple[_Placed, ...] = field(repr=False)
+    # The clamped end point of each side still to descend.
+    _ends: tuple[FeasibleSet, ...] = field(repr=False)
 
     @property
     def minimal_i(self) -> FeasibleSet:
@@ -399,23 +396,18 @@ class Answer:
 
     @cached_property
     def _representatives(self) -> tuple[FeasibleSet, ...]:
-        seq, ps = self._seq, self._ps
-        bottom = [0] * len(ps.piles)
-        for chosen, depth in self._ends:
-            _descend(seq.perm, ps.piles, ps.k, seq.n + 1, chosen, depth, bottom)
-        return tuple(tuple(chosen[1:]) for chosen, _ in self._ends)
+        return tuple(minimal_set(self._seq, self._ps, end)[0] for end in self._ends)
 
 
 def _meet_walk(
     seq: Sequence, ps: PileSystem, members_i: FeasibleSet, members_j: FeasibleSet
-) -> tuple[ReconfSequence | None, _Placed, _Placed]:
+) -> tuple[ReconfSequence | None, FeasibleSet, FeasibleSet]:
     """Descend validated I and J with I∧J as the floor: steps 1-3 of `reconfigure`.
 
     Returns the walk from I through I∧J to J, None when the clamped end
-    points differ (NO), and each side's `chosen`/`depth` (as `_placed`
-    builds them) at its clamped end point.  `reconfigure` continues from
-    those to the representatives; `bipartite.shortest_sequence` stops
-    here.
+    points differ (NO), and each side's clamped end point.  `reconfigure`
+    continues from those to the representatives;
+    `bipartite.shortest_sequence` stops here.
     """
     perm, piles, k, last_value = seq.perm, ps.piles, ps.k, seq.n + 1
     chosen_i, depth_i = _placed(ps, members_i)
@@ -430,7 +422,8 @@ def _meet_walk(
             removed=tuple(removed_i + added_j[::-1]),
             added=tuple(added_i + removed_j[::-1]),
         )
-    return walk, (chosen_i, depth_i), (chosen_j, depth_j)
+    # Every move keeps the set increasing, so pile order is index order.
+    return walk, tuple(chosen_i[1:]), tuple(chosen_j[1:])
 
 
 def reconfigure(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> Answer:
@@ -446,11 +439,12 @@ def reconfigure(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> An
        then I∧J (module docstring).  The walk is I's clamped descent
        followed by J's run backwards, each of its swaps inverted: joined
        by slicing the flat step lists.
-    4. Continue the descent with floor 0 to the representatives, on the
-       first read of `minimal_i` or `minimal_j` (`Answer`): once on YES,
-       where both sides stand at I∧J, and once per side on NO.
+    4. Run `minimal_set` from the clamped end points to the
+       representatives, on the first read of `minimal_i` or `minimal_j`
+       (`Answer`): once on YES, where both sides stand at I∧J, and once
+       per side on NO.
 
-    By confluence the representatives are `minimal_set`'s.  When I = J
+    By confluence these are the representatives of I and J.  When I = J
     the meet is I itself, so the walk is empty:
 
     >>> from lisrc import normalize

@@ -602,6 +602,44 @@ def write_pairs(path, n):
     return path
 
 
+class TestFlagMatrix:
+    """Each flag is accepted by exactly the subcommands that read it."""
+
+    ON_FILES = ["decide", "witness", "shortest", "piles", "graph", "check", "oracle"]
+    OPERANDS = {**dict.fromkeys(ON_FILES, [K22_FILE]), "gen": ["-n", "5"]}
+    READ_BY = {
+        "--json": set(ON_FILES),
+        "--exit-status": {"decide", "witness", "shortest", "oracle"},
+        "--max-oracle-n": {"oracle", "gen"},
+        "--decide": set(),
+    }
+    CASES = [
+        (command, flag)
+        for command in OPERANDS
+        for flag in (["--json"], ["--exit-status"], ["--max-oracle-n", "16"])
+    ] + [("oracle", ["--decide"])]
+
+    @pytest.mark.parametrize(
+        "command, flag", CASES, ids=lambda x: " ".join(x) if isinstance(x, list) else x
+    )
+    def test_flag_runs_only_where_read(self, capsys, command, flag):
+        operands = self.OPERANDS[command]
+        status = run([command, *flag, *operands])
+        out, err = capsys.readouterr()
+        if command not in self.READ_BY[flag[0]]:
+            assert (status, out) == (2, "")
+            assert "unrecognized arguments" in err
+            return
+        assert err == ""
+        if flag[0] == "--json":
+            assert status == 0 and json.loads(out)
+            return
+        plain_status = run([command, *operands])
+        assert capsys.readouterr().out == out
+        # k22 is a NO instance.
+        assert status == (1 if flag[0] == "--exit-status" else plain_status)
+
+
 class TestParserReuse:
     """One parser serves every `run` of a process, as if each were fresh."""
 

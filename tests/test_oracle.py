@@ -90,9 +90,13 @@ class TestBuildReconfigGraph:
 
     def test_edges_match_pairwise_scan(self):
         rng = random.Random(14)
-        for _ in range(40):
-            raw = bf.random_perm(rng, rng.randint(1, 9))
-            sets = bf.max_feasible_sets(raw)
+        inputs = [
+            bf.max_feasible_sets(bf.random_perm(rng, rng.randint(1, 9)))
+            for _ in range(40)
+        ]
+        # A repeated set is a node of its own, one swap from (1, 3).
+        inputs.append([(1, 2), (1, 2), (1, 3)])
+        for sets in inputs:
             graph = build_reconfig_graph(sets)
             expected = {
                 (a, b)
