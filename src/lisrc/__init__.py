@@ -44,11 +44,7 @@ from .piles import (
 from .reconfig import (
     Answer,
     ReconfSequence,
-    SwapStep,
-    apply_step,
     decide,
-    downward_moves,
-    is_maximum_feasible,
     minimal_set,
     reconfigure,
     witness,
@@ -84,19 +80,15 @@ __all__ = [
     "ReconfSequence",
     "Sequence",
     "SizeMismatch",
-    "SwapStep",
     "TooLarge",
-    "apply_step",
     "build_graph",
     "build_piles",
     "build_reconfig_graph",
     "decide",
-    "downward_moves",
     "enumerate_feasible",
     "extract_canonical_max",
     "find_forbidden_pair",
     "is_feasible",
-    "is_maximum_feasible",
     "minimal_set",
     "mixed_piles",
     "normalize",

@@ -413,15 +413,14 @@ def _cmd_oracle(args) -> int:
         )
         return 0
     if args.shortest:
-        found = orc.oracle_shortest(seq, i_set, j_set, maximum_only, bound)
-        if found is None:
+        rs = orc.oracle_shortest(seq, i_set, j_set, maximum_only, bound)
+        if rs is None:
             _emit(args, {"answer": "no"}, ["NO"])
             return _yesno_status(args, False)
-        length, rs = found
-        payload = {"answer": "yes", "length": length}
+        payload = {"answer": "yes", "length": len(rs)}
         if args.json:
             payload["steps"] = _steps_json(rs)
-        _emit(args, payload, chain([str(length)], _render_walk(rs, swaps=False)))
+        _emit(args, payload, chain([str(len(rs))], _render_walk(rs, swaps=False)))
         return _yesno_status(args, True)
     yes = orc.oracle_decide(seq, i_set, j_set, maximum_only, bound)
     _emit(args, {"answer": "yes" if yes else "no"}, ["YES" if yes else "NO"])

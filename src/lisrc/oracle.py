@@ -24,9 +24,9 @@ explicitly.
 >>> from lisrc.seqcore import normalize
 >>> oracle_shortest(normalize((7, 8, 5, 6)), (1, 2), (3, 4)) is None
 True
->>> length, walk = oracle_shortest(
+>>> walk = oracle_shortest(
 ...     normalize((15, 11, 16, 13, 17, 12, 14)), (1, 3, 5), (2, 6, 7))
->>> length
+>>> len(walk)
 4
 >>> list(walk.sets())
 [(1, 3, 5), (2, 3, 5), (2, 4, 5), (2, 4, 7), (2, 6, 7)]
@@ -52,9 +52,16 @@ class ReconfGraph:
     edges: tuple[tuple[int, int], ...]
 
 
+def _require_count(what: str, value: int) -> None:
+    """Raise LisrcError unless `value` is an int >= 0; a bool is not an int."""
+    if type(value) is not int:
+        raise LisrcError(f"{what} must be an int, got {value!r}")
+    if value < 0:
+        raise LisrcError(f"{what} must be >= 0, got {value}")
+
+
 def _check_bound(seq: Sequence, bound: int) -> None:
-    if bound < 0:
-        raise LisrcError(f"oracle bound must be >= 0, got {bound}")
+    _require_count("oracle bound", bound)
     if seq.n > bound:
         raise TooLarge(seq.n, bound)
 
@@ -70,8 +77,7 @@ def enumerate_feasible(
     (up to n) is not bounded by Python's recursion limit.
     """
     _check_bound(seq, bound)
-    if size < 0:
-        raise LisrcError(f"set size must be >= 0, got {size}")
+    _require_count("set size", size)
     if size == 0:
         return [()]
     perm, n = seq.perm, seq.n
@@ -169,8 +175,8 @@ def oracle_shortest(
     j_set: Iterable[int],
     maximum_only: bool = True,
     bound: int = DEFAULT_BOUND,
-) -> tuple[int, ReconfSequence] | None:
-    """Minimal swap count and one shortest sequence, or None if disconnected.
+) -> ReconfSequence | None:
+    """One shortest swap sequence, or None if disconnected.
 
     Breadth-first from I through I's whole component, whether or not J
     lies in it, so the cost of a query follows the size of I's component
@@ -179,9 +185,8 @@ def oracle_shortest(
     sets.  When I = J the walk is empty:
 
     >>> from lisrc.seqcore import normalize
-    >>> length, walk = oracle_shortest(normalize((2, 1)), (1,), (1,))
-    >>> length, walk.removed, walk.added
-    (0, (), ())
+    >>> oracle_shortest(normalize((2, 1)), (1,), (1,))
+    ReconfSequence(start=(1,), removed=(), added=())
 
     A state is an int with bit i set for each member i.  Framed by the
     sentinels 0 and n + 1, members s_1 < ... < s_k leave k + 1 gaps, and
@@ -250,7 +255,6 @@ def oracle_shortest(
         removed.append((s & ~t).bit_length() - 1)
         added.append((t & ~s).bit_length() - 1)
         t = s
-    walk = ReconfSequence(
+    return ReconfSequence(
         start=members_i, removed=tuple(removed[::-1]), added=tuple(added[::-1])
     )
-    return len(walk), walk

@@ -35,9 +35,9 @@ of per-pile depths:
 
 `reconfigure` is the one query: it returns an `Answer`, which holds a
 walk when the representatives coincide and computes the representatives
-only when they are read; `decide` and `witness` read the walk.  Sets are
-validated by `require_maximum` (a single set) and `require_pair` (the
-two sets of one query), both built on `seqcore.require_feasible`.
+only when they are read; `decide` and `witness` read the walk.  The two
+sets of one query are validated by `require_pair`, built on
+`seqcore.require_feasible`.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
-from .errors import Infeasible, NotMaximum, SizeMismatch
+from .errors import NotMaximum, SizeMismatch
 from .piles import PileSystem, build_piles
 from .seqcore import FeasibleSet, Sequence, require_feasible
 
@@ -56,21 +56,13 @@ from .seqcore import FeasibleSet, Sequence, require_feasible
 from .seqcore import is_feasible  # noqa: F401
 
 
-@dataclass(frozen=True, slots=True)
-class SwapStep:
-    """One move: drop `remove` from the set and insert `add`."""
-
-    remove: int
-    add: int
-
-
 @dataclass(frozen=True)
 class ReconfSequence:
     """A start set plus an ordered list of single swaps, stored flat.
 
     Step t drops `removed[t]` and inserts `added[t]`; the two tuples have
     equal length.  A walk of L steps thus holds 2L ints and no per-step
-    object; `steps` builds the `SwapStep` view on demand.
+    object.
     """
 
     start: FeasibleSet
@@ -85,11 +77,6 @@ class ReconfSequence:
 
     def __len__(self) -> int:
         return len(self.removed)
-
-    @property
-    def steps(self) -> tuple[SwapStep, ...]:
-        """The swaps as `SwapStep` objects, built on each access."""
-        return tuple(map(SwapStep, self.removed, self.added))
 
     def sets(self) -> Iterator[FeasibleSet]:
         """Yield every set along the sequence, the start included.
@@ -144,13 +131,6 @@ class ReconfSequence:
         return cur
 
 
-def apply_step(s: FeasibleSet, step: SwapStep) -> FeasibleSet:
-    """Apply one swap to a sorted index tuple."""
-    if step.remove not in s or step.add in s:
-        raise ValueError(f"step {step} does not apply to {s}")
-    return tuple(sorted(set(s) - {step.remove} | {step.add}))
-
-
 def _require_size(ps: PileSystem, members: FeasibleSet) -> FeasibleSet:
     """Raise NotMaximum unless the feasible set `members` has size `ps.k`."""
     if len(members) != ps.k:
@@ -158,15 +138,6 @@ def _require_size(ps: PileSystem, members: FeasibleSet) -> FeasibleSet:
             f"{members} has size {len(members)}, maximum feasible size is {ps.k}"
         )
     return members
-
-
-def require_maximum(seq: Sequence, ps: PileSystem, s: Iterable[int]) -> FeasibleSet:
-    """Validate a maximum feasible set: `require_feasible`, then size k.
-
-    Raises NotMaximum for a feasible set smaller than `ps.k`; returns the
-    sorted tuple.
-    """
-    return _require_size(ps, require_feasible(seq, s))
 
 
 def require_pair(
@@ -186,15 +157,6 @@ def require_pair(
         _require_size(ps, members_i)
         _require_size(ps, members_j)
     return members_i, members_j
-
-
-def is_maximum_feasible(seq: Sequence, s: Iterable[int]) -> bool:
-    """True iff `s` is feasible and as large as any feasible set."""
-    try:
-        require_maximum(seq, build_piles(seq), s)
-    except (Infeasible, NotMaximum):
-        return False
-    return True
 
 
 def _placed(ps: PileSystem, members: FeasibleSet) -> tuple[list[int], list[int]]:
@@ -260,31 +222,6 @@ def _lowest_depth(
     return lo
 
 
-def downward_moves(
-    seq: Sequence, ps: PileSystem, s: Iterable[int]
-) -> list[SwapStep]:
-    """All feasible swaps that push one member strictly down its pile.
-
-    Ordered by pile id, then by target depth from the pile bottom up
-    (largest depth gap first).  Requires a maximum feasible set.
-    """
-    members = require_maximum(seq, ps, s)
-    chosen, depth = _placed(ps, members)
-    perm, k = seq.perm, ps.k
-    moves: list[SwapStep] = []
-    for t in range(1, k + 1):
-        v = chosen[t]
-        pile_idx = ps.piles[t]
-        d = depth[t]
-        if d == 0:
-            continue
-        right_value = perm[chosen[t + 1] - 1] if t < k else seq.n + 1
-        lo = _lowest_depth(perm, pile_idx, chosen[t - 1], right_value, d)
-        for target in range(lo, d):
-            moves.append(SwapStep(remove=v, add=pile_idx[target]))
-    return moves
-
-
 def _descend(
     perm: tuple[int, ...],
     piles: tuple[tuple[int, ...], ...],
@@ -338,26 +275,38 @@ def _descend(
     return removed, added
 
 
+def _to_bottom(
+    seq: Sequence, ps: PileSystem, members: FeasibleSet
+) -> tuple[FeasibleSet, list[int], list[int]]:
+    """`_descend` from the validated maximum set `members`, floor 0 on every pile.
+
+    Returns the fixed point and the removed and the added index of each
+    move.
+    """
+    chosen, depth = _placed(ps, members)
+    removed, added = _descend(
+        seq.perm, ps.piles, ps.k, seq.n + 1, chosen, depth, [0] * len(depth)
+    )
+    # Every move keeps the set increasing, so pile order is index order.
+    return tuple(chosen[1:]), removed, added
+
+
 def minimal_set(
     seq: Sequence, ps: PileSystem, s: Iterable[int]
 ) -> tuple[FeasibleSet, ReconfSequence]:
     """Greedy descent to the unique set admitting no downward move.
 
-    Returns the fixed point and the executed descent, a walk from `s`
-    whose length is the move count: `_descend` with floor 0 on every
-    pile.  Equivalent to repeatedly applying the first entry of
-    `downward_moves`, in O((k + moves) log n).
+    Validates `s` (`require_feasible`, then NotMaximum unless its size is
+    `ps.k`) and returns the fixed point and the executed descent, a walk
+    from `s` whose length is the move count.  Each move takes the lowest
+    pile id that admits one, to its deepest reachable entry, in
+    O((k + moves) log n) in all.
     """
-    members = require_maximum(seq, ps, s)
-    chosen, depth = _placed(ps, members)
-    removed, added = _descend(
-        seq.perm, ps.piles, ps.k, seq.n + 1, chosen, depth, [0] * len(depth)
-    )
-    descent = ReconfSequence(
+    members = _require_size(ps, require_feasible(seq, s))
+    fixed, removed, added = _to_bottom(seq, ps, members)
+    return fixed, ReconfSequence(
         start=members, removed=tuple(removed), added=tuple(added)
     )
-    # Every move keeps the set increasing, so pile order is index order.
-    return tuple(chosen[1:]), descent
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,9 +319,10 @@ class Answer:
     not be length-minimal, but it never passes below I∧J.
 
     `minimal_i` and `minimal_j` are computed on their first read and then
-    cached: `minimal_set` descends from the clamped end points (step 4 of
+    cached: `_to_bottom` descends from the clamped end points (step 4 of
     `reconfigure`), once on YES, where both sides stand at I∧J and both
-    names hold the same tuple, and once per side on NO.  For that an
+    names hold the same tuple, and once per side on NO.  The end points
+    were computed here, so they are not validated again.  For that an
     Answer keeps the sequence, its piles and the clamped end points
     referenced for as long as it lives, O(n) memory; a read mutates none
     of them.
@@ -396,7 +346,7 @@ class Answer:
 
     @cached_property
     def _representatives(self) -> tuple[FeasibleSet, ...]:
-        return tuple(minimal_set(self._seq, self._ps, end)[0] for end in self._ends)
+        return tuple(_to_bottom(self._seq, self._ps, end)[0] for end in self._ends)
 
 
 def _meet_walk(
@@ -439,7 +389,7 @@ def reconfigure(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> An
        then I∧J (module docstring).  The walk is I's clamped descent
        followed by J's run backwards, each of its swaps inverted: joined
        by slicing the flat step lists.
-    4. Run `minimal_set` from the clamped end points to the
+    4. Descend from the clamped end points with floor 0 to the
        representatives, on the first read of `minimal_i` or `minimal_j`
        (`Answer`): once on YES, where both sides stand at I∧J, and once
        per side on NO.

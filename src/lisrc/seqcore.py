@@ -8,8 +8,8 @@ construction prepends; it never appears in user-facing sets.
 
 `require_feasible` is the only validation of a caller's index set; every
 entry point of the package runs it once per set it is given (directly,
-or through `reconfig.require_maximum` or `reconfig.require_pair`) before
-touching the set.  The longest increasing subsequence length is
+as `reconfig.minimal_set` does, or through `reconfig.require_pair`)
+before touching the set.  The longest increasing subsequence length is
 `piles.build_piles(seq).k`.
 """
 from __future__ import annotations
@@ -39,8 +39,12 @@ class Sequence:
         return len(self.raw)
 
     def value(self, i: int) -> int:
-        """Normalized value at 1-based index `i`; index 0 is the sentinel 0."""
-        if not 0 <= i <= len(self.perm):
+        """Normalized value at 1-based index `i`; index 0 is the sentinel 0.
+
+        `i` must be an int in 0..n, else IndexOutOfRange, as in
+        `require_feasible`: a bool, float or str is not read as an index.
+        """
+        if type(i) is not int or not 0 <= i <= len(self.perm):
             raise IndexOutOfRange(i, len(self.perm))
         return 0 if i == 0 else self.perm[i - 1]
 
@@ -75,7 +79,9 @@ def precedes(seq: Sequence, i: int, j: int) -> bool:
     """Order test on positions: i before j and value(i) below value(j).
 
     Reflexive: precedes(seq, k, k) is True.  Index 0 stands for the
-    sentinel, which precedes every position.
+    sentinel, which precedes every position.  Both indices go through
+    `Sequence.value`, so anything but an int in 0..n raises
+    IndexOutOfRange.
 
     >>> s = normalize((7, 8, 5, 6))
     >>> precedes(s, 1, 2), precedes(s, 1, 3), precedes(s, 2, 2)

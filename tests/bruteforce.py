@@ -3,10 +3,10 @@
 Everything here works straight off the raw value list, or straight off
 the fields of a walk or a pile system, so it shares no code path with
 the package.
-Exponential, except `lis_length`, `deal_reference`, `pile_coord`, `rank_normalize`,
-`scan_int_tokens`, `require_pair`, `two_coloring`, `replay_sets`,
-`render_walk`, `swap_neighbours`, `bfs_walk` and the staircase builders;
-keep n small.
+Exponential, except `lis_length`, `is_maximum_feasible`, `deal_reference`,
+`downward_moves`, `pile_coord`, `rank_normalize`, `scan_int_tokens`,
+`require_pair`, `two_coloring`, `swap`, `replay_sets`, `render_walk`,
+`swap_neighbours`, `bfs_walk` and the staircase builders; keep n small.
 """
 import itertools
 from bisect import bisect_left, bisect_right
@@ -104,6 +104,13 @@ def lis_length(raw):
         else:
             tails[pos] = v
     return len(tails)
+
+
+def is_maximum_feasible(raw, s):
+    """True iff the positions `s` hold increasing values and are as many
+    as the longest increasing run of `raw`."""
+    members = sorted(set(s))
+    return increasing(raw, members) and len(members) == lis_length(raw)
 
 
 def deal_reference(raw):
@@ -414,6 +421,27 @@ def forbidden_pair_scan(raw):
     return first
 
 
+def downward_moves(raw, s):
+    """Every swap that moves one member of the maximum set `s` strictly
+    down its own pile and keeps the set increasing, as (remove, add).
+
+    Tries every entry of the member's pile below it directly.  Ordered by
+    pile id, then by target depth from the pile bottom up, so the first
+    move is the one the package's descent takes.
+    """
+    pile_of, depth_of, _ = deal_reference(raw)
+    members = set(s)
+    moves = [
+        (v, u)
+        for v in members
+        for u in range(1, len(raw) + 1)
+        if pile_of[u] == pile_of[v]
+        and depth_of[u] < depth_of[v]
+        and increasing(raw, sorted(members - {v} | {u}))
+    ]
+    return sorted(moves, key=lambda m: (pile_of[m[1]], depth_of[m[1]]))
+
+
 def pile_coord(raw, i):
     """(pile id, depth from the bottom) of element index i; 0 is the sentinel."""
     if not 0 <= i <= len(raw):
@@ -428,8 +456,17 @@ def random_perm(rng, n):
     return tuple(values)
 
 
+def swap(s, remove, add):
+    """The sorted tuple `s` with `remove` dropped and `add` inserted, by one
+    set difference and one sort; ValueError unless `remove` is in `s` and
+    `add` is not."""
+    if remove not in s or add in s:
+        raise ValueError(f"swap {remove} -> {add} does not apply to {s}")
+    return tuple(sorted(set(s) - {remove} | {add}))
+
+
 def replay_sets(rs):
-    """Every set along a walk, one set difference and one sort per step.
+    """Every set along a walk, one `swap` per step.
 
     A generator, like `ReconfSequence.sets`: a step that does not apply
     raises ValueError after the sets before it were yielded.
@@ -437,9 +474,7 @@ def replay_sets(rs):
     cur = rs.start
     yield cur
     for remove, add in zip(rs.removed, rs.added):
-        if remove not in cur or add in cur:
-            raise ValueError(f"swap {remove} -> {add} does not apply to {cur}")
-        cur = tuple(sorted(set(cur) - {remove} | {add}))
+        cur = swap(cur, remove, add)
         yield cur
 
 

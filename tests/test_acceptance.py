@@ -14,15 +14,12 @@ from lisrc import (
     NoSequence,
     NotBipartite,
     ReconfSequence,
-    apply_step,
     build_graph,
     build_piles,
     build_reconfig_graph,
     decide,
-    downward_moves,
     enumerate_feasible,
     extract_canonical_max,
-    is_maximum_feasible,
     minimal_set,
     normalize,
     oracle_decide,
@@ -94,7 +91,7 @@ def test_criterion_2_detour_length(capsys):
     assert run(["oracle", "--shortest", "--json", p3_file]) == 0
     oracle_payload = json.loads(capsys.readouterr().out)
 
-    walk_ok = all(is_maximum_feasible(seq, s) for s in DETOUR_WALK)
+    walk_ok = all(bf.is_maximum_feasible(raw, s) for s in DETOUR_WALK)
     steps_ok = all(
         len(set(a) ^ set(b)) == 2
         for a, b in zip(DETOUR_WALK, DETOUR_WALK[1:])
@@ -105,7 +102,7 @@ def test_criterion_2_detour_length(capsys):
         decide_out == "YES\n"
         and decide(seq, i_set, j_set) is True
         and oracle_payload["length"] == 4
-        and oracle_shortest(seq, i_set, j_set)[0] == 4
+        and len(oracle_shortest(seq, i_set, j_set)) == 4
         and walk_ok
         and steps_ok
         and DETOUR_WALK[0] == i_set
@@ -171,11 +168,8 @@ def test_criterion_4_confluence(capsys):
         ps = build_piles(seq)
         s = rng.choice(enumerate_feasible(seq, ps.k))
         cur = s
-        while True:
-            moves = downward_moves(seq, ps, cur)
-            if not moves:
-                break
-            cur = apply_step(cur, rng.choice(moves))
+        while moves := bf.downward_moves(raw, cur):
+            cur = bf.swap(cur, *rng.choice(moves))
         if cur != minimal_set(seq, ps, s)[0]:
             mismatches += 1
     with capsys.disabled():
@@ -216,10 +210,10 @@ def test_criterion_5_bipartite_shortest(capsys):
         if not (
             len(result) == private
             and found is not None
-            and found[0] == private
+            and len(found) == private
             and sets[0] == i_set
             and sets[-1] == j_set
-            and all(is_maximum_feasible(seq, s) for s in sets)
+            and all(bf.is_maximum_feasible(raw, s) for s in sets)
         ):
             violations.append((raw, i_set, j_set))
     for raw, i_set, j_set in with_pair:

@@ -17,7 +17,6 @@ from lisrc import (
     build_piles,
     find_forbidden_pair,
     is_feasible,
-    is_maximum_feasible,
     mixed_piles,
     normalize,
     shortest_sequence,
@@ -382,7 +381,7 @@ class TestShortestSequence:
             sets = list(result.sets())
             assert sets[0] == i_set and sets[-1] == j_set
             for s in sets:
-                assert is_maximum_feasible(seq, s)
+                assert bf.is_maximum_feasible(raw, s)
 
 
 def _check_replay(seq, ps, first_pair, result, i_set, j_set):
@@ -393,15 +392,15 @@ def _check_replay(seq, ps, first_pair, result, i_set, j_set):
     assert sets[0] == i_set and sets[-1] == j_set
     pile_of = bf.deal_reference(seq.raw)[0]
     mixed = mixed_piles(seq, ps, i_set, j_set)
-    for step, after in zip(result.steps, sets[1:]):
-        pile = pile_of[step.remove]
+    for remove, add, after in zip(result.removed, result.added, sets[1:]):
+        pile = pile_of[remove]
         assert [(m.i_elem, m.j_elem) for m in mixed if m.pile == pile] == [
-            (step.remove, step.add)
+            (remove, add)
         ]
         resolved = [m for m in mixed if m.pile != pile]
         mixed = mixed_piles(seq, ps, after, j_set)
         assert mixed == resolved
-        assert is_maximum_feasible(seq, after)
+        assert bf.is_maximum_feasible(seq.raw, after)
         assert first_pair(after, j_set) is None
 
 
@@ -434,13 +433,13 @@ class TestShortestAtScale:
 
         chosen = [0, *i_set]
         members = set(i_set)
-        for step in result.steps:
-            t = (step.remove + 1) // 2
-            assert step.remove in members and step.add not in members
-            assert (step.add + 1) // 2 == t
-            members.remove(step.remove)
-            members.add(step.add)
-            chosen[t] = step.add
+        for remove, add in zip(result.removed, result.added):
+            t = (remove + 1) // 2
+            assert remove in members and add not in members
+            assert (add + 1) // 2 == t
+            members.remove(remove)
+            members.add(add)
+            chosen[t] = add
             assert before(chosen[t - 1], chosen[t])
             assert t + 1 == len(chosen) or before(chosen[t], chosen[t + 1])
         assert members == set(j_set)

@@ -18,7 +18,6 @@ from lisrc import (
     Infeasible,
     ParseError,
     ReconfSequence,
-    is_maximum_feasible,
     normalize,
     oracle_shortest,
     shortest_sequence,
@@ -174,8 +173,8 @@ class TestGenerate:
     def test_sets_are_maximum_feasible(self):
         for seed in range(20):
             seq, i_set, j_set = parse_instance(generate(8, seed=seed))
-            assert is_maximum_feasible(seq, i_set)
-            assert is_maximum_feasible(seq, j_set)
+            assert bf.is_maximum_feasible(seq.raw, i_set)
+            assert bf.is_maximum_feasible(seq.raw, j_set)
 
     def test_bipartite_flag(self):
         for seed in range(10):
@@ -192,7 +191,8 @@ class TestGenerate:
         assert capsys.readouterr().out == first.out
         seq, i_set, j_set = parse_instance(first.out)
         assert seq.n == n and decreasing_triple(seq) is None
-        assert is_maximum_feasible(seq, i_set) and is_maximum_feasible(seq, j_set)
+        assert bf.is_maximum_feasible(seq.raw, i_set)
+        assert bf.is_maximum_feasible(seq.raw, j_set)
 
     def test_plain_output_is_pinned(self, capsys):
         # Seeded instances stay byte for byte, within the exhaustive bound
@@ -212,8 +212,8 @@ class TestGenerate:
 
     def test_large_n_uses_chain_sampling(self):
         seq, i_set, j_set = parse_instance(generate(40, seed=3, bound=16))
-        assert is_maximum_feasible(seq, i_set)
-        assert is_maximum_feasible(seq, j_set)
+        assert bf.is_maximum_feasible(seq.raw, i_set)
+        assert bf.is_maximum_feasible(seq.raw, j_set)
 
 
 class TestRun:
@@ -266,10 +266,9 @@ class TestRun:
             assert capsys.readouterr().out == out
             assert json.loads(out)["length"] > 0
 
-    @pytest.mark.parametrize("path", [BIP_FILE, K22_FILE], ids=["yes", "no"])
-    def test_shortest_validates_each_set_twice(self, path, capsys, monkeypatch):
-        # Once while parsing, once in `require_pair`: `shortest` maps the
-        # validated sets to mixed piles without validating them again.
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        """The sets passed to `require_feasible`, by the CLI and `reconfig`."""
         calls = []
 
         def counting(seq, s):
@@ -278,9 +277,25 @@ class TestRun:
 
         monkeypatch.setattr(lisrc.cli, "require_feasible", counting)
         monkeypatch.setattr(lisrc.reconfig, "require_feasible", counting)
+        return calls
+
+    @pytest.mark.parametrize("path", [BIP_FILE, K22_FILE], ids=["yes", "no"])
+    def test_shortest_validates_each_set_twice(self, path, capsys, validations):
+        # Once while parsing, once in `require_pair`.  Only on NO does
+        # `shortest` map the validated sets to mixed piles, and it does not
+        # validate them again.
         assert run(["shortest", path]) == 0
         capsys.readouterr()
-        assert len(calls) == 4
+        assert len(validations) == 4
+
+    @pytest.mark.parametrize("command", ["decide", "witness"])
+    @pytest.mark.parametrize("path", [DETOUR_FILE, K22_FILE], ids=["yes", "no"])
+    def test_json_validates_each_set_twice(self, command, path, capsys, validations):
+        # The representatives descend from end points the query computed
+        # itself, so reading them validates nothing again.
+        assert run([command, "--json", path]) == 0
+        assert "minimal_I" in json.loads(capsys.readouterr().out)
+        assert len(validations) == 4
 
     @pytest.mark.parametrize(
         "path, continuations", [(DETOUR_FILE, 1), (K22_FILE, 2)], ids=["yes", "no"]
@@ -409,7 +424,8 @@ class TestRun:
         assert run(["gen", "-n", "6", "--seed", "4", "-o", str(out_file)]) == 0
         seq, i_set, j_set = parse_instance(out_file.read_text())
         assert seq.n == 6
-        assert is_maximum_feasible(seq, i_set) and is_maximum_feasible(seq, j_set)
+        assert bf.is_maximum_feasible(seq.raw, i_set)
+        assert bf.is_maximum_feasible(seq.raw, j_set)
         assert run(["gen", "-n", "6", "--seed", "4"]) == 0
         assert capsys.readouterr().out == out_file.read_text()
 
@@ -788,8 +804,8 @@ class TestWalkText:
     )
     def test_oracle_walk_matches_reference(self, capsys, files, flags, name):
         seq, i_set, j_set = parse_instance(Path(files[name]).read_text())
-        length, rs = oracle_shortest(seq, i_set, j_set, maximum_only=not flags)
-        expected = [str(length), *map(bf.fmt_set, bf.replay_sets(rs))]
+        rs = oracle_shortest(seq, i_set, j_set, maximum_only=not flags)
+        expected = [str(len(rs)), *map(bf.fmt_set, bf.replay_sets(rs))]
         assert run(["oracle", "--shortest", *flags, files[name]]) == 0
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
@@ -840,38 +856,6 @@ class TestWalkText:
             tracemalloc.stop()
         assert sink.size > 18_000_000
         assert peak < sink.size / 5, (peak, sink.size)
-
-
-class TestNoStepObjects:
-    """The CLI renders walks from their flat fields, text and `--json` alike."""
-
-    CASES = [
-        ["witness", DETOUR_FILE],
-        ["witness", BIP_FILE],
-        ["shortest", BIP_FILE],
-        ["oracle", "--shortest", DETOUR_FILE],
-        ["oracle", "--shortest", "--general", BIP_FILE],
-    ]
-
-    def test_walks_build_no_swap_step(self, capsys, monkeypatch):
-        argvs = [[*argv, *flag] for argv in self.CASES for flag in ([], ["--json"])]
-        expected = []
-        for argv in argvs:
-            assert run(argv) == 0
-            out = capsys.readouterr().out
-            if "--json" in argv:
-                assert json.loads(out)["steps"]
-            else:
-                assert len(out.splitlines()) > 3
-            expected.append(out)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("SwapStep built on a CLI path")
-
-        monkeypatch.setattr(lisrc.reconfig, "SwapStep", refuse)
-        for argv, out in zip(argvs, expected):
-            assert run(argv) == 0
-            assert capsys.readouterr().out == out
 
 
 class TestEnumerateDeep:

@@ -15,7 +15,6 @@ from lisrc import (
     SizeMismatch,
     build_piles,
     decide,
-    downward_moves,
     is_feasible,
     minimal_set,
     mixed_piles,
@@ -44,7 +43,6 @@ PAIR_ENTRY_POINTS = {
 ENTRY_POINTS = {
     **PAIR_ENTRY_POINTS,
     "minimal_set": lambda seq, i, j: minimal_set(seq, build_piles(seq), i),
-    "downward_moves": lambda seq, i, j: downward_moves(seq, build_piles(seq), i),
 }
 
 # DETOUR: values 15 11 16 13 17 12 14, LIS length 3, not bipartite, so

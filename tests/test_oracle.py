@@ -9,7 +9,6 @@ from lisrc import (
     LisrcError,
     NotMaximum,
     SizeMismatch,
-    SwapStep,
     TooLarge,
     build_reconfig_graph,
     enumerate_feasible,
@@ -116,15 +115,15 @@ class TestOracleQueries:
     def test_identical_sets(self):
         seq = normalize(K22_NO[0])
         assert oracle_decide(seq, (1, 2), (1, 2)) is True
-        length, rs = oracle_shortest(seq, (1, 2), (1, 2))
-        assert length == 0 and rs.steps == ()
+        rs = oracle_shortest(seq, (1, 2), (1, 2))
+        assert rs.start == (1, 2) and rs.removed == rs.added == ()
 
     def test_detour_distance(self):
         raw, i_set, j_set = DETOUR
         seq = normalize(raw)
         assert oracle_decide(seq, i_set, j_set) is True
-        length, rs = oracle_shortest(seq, i_set, j_set)
-        assert length == 4
+        rs = oracle_shortest(seq, i_set, j_set)
+        assert len(rs) == 4
         sets = list(rs.sets())
         assert sets[0] == i_set and sets[-1] == j_set
         assert all(is_feasible(seq, s) for s in sets)
@@ -138,8 +137,7 @@ class TestOracleQueries:
         # Size-1 sets are all reconfigurable through each other directly.
         seq = normalize(K22_NO[0])
         assert oracle_decide(seq, (1,), (3,), maximum_only=False) is True
-        length, _ = oracle_shortest(seq, (1,), (3,), maximum_only=False)
-        assert length == 1
+        assert len(oracle_shortest(seq, (1,), (3,), maximum_only=False)) == 1
 
     def test_general_mode_distances_match_reference(self):
         rng = random.Random(22)
@@ -157,8 +155,8 @@ class TestOracleQueries:
                 assert found is None
                 assert oracle_decide(seq, i_set, j_set, maximum_only=False) is False
             else:
-                assert found[0] == expected
-                assert found[0] >= len(set(i_set) - set(j_set))
+                assert len(found) == expected
+                assert len(found) >= len(set(i_set) - set(j_set))
                 assert oracle_decide(seq, i_set, j_set, maximum_only=False) is True
 
     def test_bound_override(self):
@@ -173,6 +171,16 @@ class TestOracleQueries:
         with pytest.raises(LisrcError, match="must be >= 0, got -1") as caught:
             oracle_shortest(seq, (1, 3), (2, 4), bound=-1)
         assert not isinstance(caught.value, TooLarge)
+        # Only an int is a bound or a set size: a bool is not read as 0 or
+        # 1, nor a float or a str as the int it spells.
+        for bad in (16.0, True, "3"):
+            with pytest.raises(LisrcError, match=f"bound must be an int, got {bad!r}"):
+                oracle_shortest(seq, (1, 3), (2, 4), bound=bad)
+            with pytest.raises(LisrcError, match="bound must be an int"):
+                enumerate_feasible(seq, 2, bound=bad)
+        for bad in (True, 2.0, "2"):
+            with pytest.raises(LisrcError, match=f"size must be an int, got {bad!r}"):
+                enumerate_feasible(seq, bad)
 
     def test_maximum_sets_cover_each_pile_once(self):
         from lisrc import build_piles
@@ -197,9 +205,8 @@ class TestOracleQueries:
                     if expected is None:
                         assert found is None, (raw, i_set, j_set)
                         continue
-                    length, rs = found
-                    assert length == expected, (raw, i_set, j_set)
-                    walk = list(bf.replay_sets(rs))
+                    assert len(found) == expected, (raw, i_set, j_set)
+                    walk = list(bf.replay_sets(found))
                     assert walk[-1] == j_set and set(walk) <= set(sets)
 
 
@@ -216,7 +223,7 @@ class TestImplicitSearch:
 
     def test_queries_never_build_the_graph(self, no_graph, capsys):
         detour, k22 = normalize(DETOUR[0]), normalize(K22_NO[0])
-        assert oracle_shortest(detour, DETOUR[1], DETOUR[2])[0] == 4
+        assert len(oracle_shortest(detour, DETOUR[1], DETOUR[2])) == 4
         assert oracle_decide(detour, DETOUR[1], DETOUR[2]) is True
         assert oracle_shortest(k22, K22_NO[1], K22_NO[2]) is None
         assert oracle_decide(k22, K22_NO[1], K22_NO[2]) is False
@@ -236,16 +243,14 @@ class TestImplicitSearch:
         i_set, j_set = tuple(range(1, 40)), (*range(1, 39), 40)
         with pytest.raises(TooLarge):
             oracle_shortest(seq, i_set, j_set, maximum_only=False)
-        length, rs = oracle_shortest(seq, i_set, j_set, maximum_only=False, bound=40)
-        assert length == 1
-        assert rs.steps == (SwapStep(remove=39, add=40),)
+        rs = oracle_shortest(seq, i_set, j_set, maximum_only=False, bound=40)
+        assert (rs.removed, rs.added) == ((39,), (40,))
 
     def test_states_wider_than_a_machine_word(self, no_graph):
         seq = normalize(range(1, 201))
         i_set, j_set = tuple(range(1, 200)), (*range(1, 199), 200)
-        length, rs = oracle_shortest(seq, i_set, j_set, maximum_only=False, bound=200)
-        assert length == 1
-        assert rs.steps == (SwapStep(remove=199, add=200),)
+        rs = oracle_shortest(seq, i_set, j_set, maximum_only=False, bound=200)
+        assert (rs.removed, rs.added) == ((199,), (200,))
 
 
 class TestWalkIdentity:
@@ -258,13 +263,11 @@ class TestWalkIdentity:
         if expected is None:
             assert found is None, (raw, i_set, j_set)
             return
-        length, rs = found
-        assert (rs.start, rs.removed, rs.added) == (i_set, *expected), (
+        assert (found.start, found.removed, found.added) == (i_set, *expected), (
             raw,
             i_set,
             j_set,
         )
-        assert length == len(expected[0])
 
     @pytest.mark.parametrize("maximum_only", [True, False])
     def test_every_pair_up_to_six(self, maximum_only):
@@ -355,7 +358,7 @@ class TestWholeComponent:
         expected = self.component_reads(raw, i_set)
         for j_set in bf.swap_bfs(raw, i_set):
             found, count = reads(seq, i_set, j_set, maximum_only)
-            assert found[0] == len(bf.bfs_walk(bf.swap_bfs(raw, i_set), j_set)[0])
+            assert len(found) == len(bf.bfs_walk(bf.swap_bfs(raw, i_set), j_set)[0])
             assert count == expected, j_set
 
     @pytest.mark.parametrize(
@@ -374,7 +377,7 @@ class TestWholeComponent:
         assert found is None
         assert count == self.component_reads(raw, i_set)
         found, same = reads(seq, i_set, i_set, maximum_only)
-        assert found[0] == 0 and same == count
+        assert len(found) == 0 and same == count
 
     def test_one_swap_among_many_sets(self, reads):
         # All C(16, 8) = 12,870 sets of size 8 of the identity at n = 16
@@ -384,5 +387,5 @@ class TestWholeComponent:
         seq = normalize(range(1, 17))
         i_set, j_set = tuple(range(1, 9)), (*range(1, 8), 9)
         found, count = reads(seq, i_set, j_set, False)
-        assert found[1].steps == (SwapStep(remove=8, add=9),)
+        assert (found.removed, found.added) == ((8,), (9,))
         assert count == 2 * 9 * 12_870 + 2 * 11_440

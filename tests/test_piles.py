@@ -9,10 +9,8 @@ from lisrc import (
     IndexOutOfRange,
     PileSystem,
     build_piles,
-    downward_moves,
     enumerate_feasible,
     extract_canonical_max,
-    is_maximum_feasible,
     minimal_set,
     mixed_piles,
     normalize,
@@ -148,10 +146,9 @@ class TestDerivedCoordinates:
         "query",
         [
             lambda seq, ps, i, j: minimal_set(seq, ps, i),
-            lambda seq, ps, i, j: downward_moves(seq, ps, j),
             lambda seq, ps, i, j: mixed_piles(seq, ps, i, j),
         ],
-        ids=["minimal_set", "downward_moves", "mixed_piles"],
+        ids=["minimal_set", "mixed_piles"],
     )
     @pytest.mark.parametrize("instance", [DETOUR, BIP, K22_NO], ids=["detour", "bip", "k22"])
     def test_queries_do_not_derive(self, query, instance):
@@ -193,7 +190,7 @@ class TestExtractCanonicalMax:
     def test_always_maximum_feasible(self):
         for raw in corpus(seed=41):
             seq = normalize(raw)
-            assert is_maximum_feasible(seq, extract_canonical_max(build_piles(seq)))
+            assert bf.is_maximum_feasible(raw, extract_canonical_max(build_piles(seq)))
 
 
 class TestPileCoord:

@@ -9,13 +9,8 @@ from lisrc import (
     NotMaximum,
     ReconfSequence,
     SizeMismatch,
-    SwapStep,
-    apply_step,
     build_piles,
     decide,
-    downward_moves,
-    is_feasible,
-    is_maximum_feasible,
     minimal_set,
     normalize,
     oracle_shortest,
@@ -29,31 +24,26 @@ import bruteforce as bf
 from conftest import K22_NO, DETOUR
 
 
-def naive_downward_moves(seq, ps, s):
-    """Order-free reference: try every same-pile deeper entry directly."""
-    moves = set()
-    members = set(s)
-    pile_of, depth_of, _ = bf.deal_reference(seq.raw)
-    for v in sorted(members):
-        t, d = pile_of[v], depth_of[v]
-        for u in ps.piles[t]:
-            if depth_of[u] < d and is_feasible(seq, members - {v} | {u}):
-                moves.add((v, u))
-    return moves
-
-
-def naive_descent(seq, ps, s):
+def naive_descent(raw, s):
     """Reference greedy: re-derive all moves and apply the first each round."""
     start = cur = tuple(sorted(s))
-    trace = []
-    while True:
-        moves = downward_moves(seq, ps, cur)
-        if not moves:
-            removed = tuple(m.remove for m in trace)
-            added = tuple(m.add for m in trace)
-            return cur, ReconfSequence(start=start, removed=removed, added=added)
-        trace.append(moves[0])
-        cur = apply_step(cur, moves[0])
+    removed, added = [], []
+    while moves := bf.downward_moves(raw, cur):
+        remove, add = moves[0]
+        removed.append(remove)
+        added.append(add)
+        cur = bf.swap(cur, remove, add)
+    return cur, ReconfSequence(start=start, removed=tuple(removed), added=tuple(added))
+
+
+def max_swap_neighbours(raw, s):
+    """Every maximum set one swap from `s`, found by enumeration, as
+    (remove, add) pairs."""
+    return {
+        (min(set(s) - set(t)), min(set(t) - set(s)))
+        for t in bf.max_feasible_sets(raw)
+        if len(set(s) ^ set(t)) == 2
+    }
 
 
 def sample_instances(seed, rounds, max_n):
@@ -65,62 +55,46 @@ def sample_instances(seed, rounds, max_n):
 
 
 class TestDownwardMoves:
+    """The downward moves of the reference, and the descent's steps."""
+
     def test_single_move(self):
-        seq = normalize(DETOUR[0])
-        ps = build_piles(seq)
-        assert downward_moves(seq, ps, (2, 6, 7)) == [SwapStep(remove=6, add=4)]
+        assert bf.downward_moves(DETOUR[0], (2, 6, 7)) == [(6, 4)]
 
     def test_all_at_bottom(self):
-        seq = normalize(DETOUR[0])
-        ps = build_piles(seq)
-        assert downward_moves(seq, ps, (1, 3, 5)) == []
+        assert bf.downward_moves(DETOUR[0], (1, 3, 5)) == []
 
     def test_singleton_piles(self):
-        seq = normalize((1, 2, 3))
-        ps = build_piles(seq)
-        assert downward_moves(seq, ps, (1, 2, 3)) == []
+        assert bf.downward_moves((1, 2, 3), (1, 2, 3)) == []
 
     def test_blocked_despite_depth(self):
-        seq = normalize(K22_NO[0])
-        ps = build_piles(seq)
-        assert downward_moves(seq, ps, (3, 4)) == []
+        assert bf.downward_moves(K22_NO[0], (3, 4)) == []
 
     def test_rejects_non_maximum(self):
         seq = normalize(K22_NO[0])
         ps = build_piles(seq)
         with pytest.raises(NotMaximum):
-            downward_moves(seq, ps, (1,))
+            minimal_set(seq, ps, (1,))
         with pytest.raises(Infeasible):
-            downward_moves(seq, ps, (1, 3))
+            minimal_set(seq, ps, (1, 3))
 
     def test_matches_naive_reference(self):
+        # Every swap between maximum sets stays in one pile, so the
+        # reference's moves are the enumerated neighbours whose new
+        # member sits lower.
         for raw, s, _ in sample_instances(seed=3, rounds=150, max_n=10):
-            seq = normalize(raw)
-            ps = build_piles(seq)
-            moves = downward_moves(seq, ps, s)
-            assert {(m.remove, m.add) for m in moves} == naive_downward_moves(
-                seq, ps, s
-            )
-
-    def test_ordered_by_pile_then_target_depth(self):
-        for raw, s, _ in sample_instances(seed=7, rounds=80, max_n=10):
-            seq = normalize(raw)
-            ps = build_piles(seq)
-            pile_of, depth_of, _ = bf.deal_reference(raw)
-            keys = [
-                (pile_of[m.add], depth_of[m.add])
-                for m in downward_moves(seq, ps, s)
-            ]
-            assert keys == sorted(keys)
+            depth_of = bf.deal_reference(raw)[1]
+            neighbours = max_swap_neighbours(raw, s)
+            lower = {(v, u) for v, u in neighbours if depth_of[u] < depth_of[v]}
+            assert set(bf.downward_moves(raw, s)) == lower
 
     def test_moves_stay_within_pile(self):
         for raw, s, _ in sample_instances(seed=13, rounds=100, max_n=12):
             seq = normalize(raw)
-            ps = build_piles(seq)
             pile_of, depth_of, _ = bf.deal_reference(raw)
-            for m in downward_moves(seq, ps, s):
-                assert pile_of[m.remove] == pile_of[m.add]
-                assert depth_of[m.add] < depth_of[m.remove]
+            _, trace = minimal_set(seq, build_piles(seq), s)
+            for remove, add in zip(trace.removed, trace.added):
+                assert pile_of[remove] == pile_of[add]
+                assert depth_of[add] < depth_of[remove]
 
 
 class TestMinimalSet:
@@ -149,12 +123,6 @@ class TestMinimalSet:
             start=(2, 6, 7), removed=(6, 7, 4, 2), added=(4, 5, 3, 1)
         )
         assert len(trace) == 4
-        assert trace.steps == (
-            SwapStep(remove=6, add=4),
-            SwapStep(remove=7, add=5),
-            SwapStep(remove=4, add=3),
-            SwapStep(remove=2, add=1),
-        )
 
     def test_rejects_non_maximum(self):
         seq = normalize(DETOUR[0])
@@ -166,23 +134,23 @@ class TestMinimalSet:
         for raw, s, _ in sample_instances(seed=19, rounds=200, max_n=10):
             seq = normalize(raw)
             ps = build_piles(seq)
-            assert minimal_set(seq, ps, s) == naive_descent(seq, ps, s)
+            assert minimal_set(seq, ps, s) == naive_descent(raw, s)
 
     def test_trace_properties(self):
         for raw, s, _ in sample_instances(seed=29, rounds=150, max_n=12):
             seq = normalize(raw)
             ps = build_piles(seq)
             m, trace = minimal_set(seq, ps, s)
-            assert downward_moves(seq, ps, m) == []
+            assert bf.downward_moves(raw, m) == []
             depth_of = bf.deal_reference(raw)[1]
             total_depth = sum(depth_of[i] for i in s)
             assert len(trace) <= total_depth
             cur = tuple(sorted(s))
             assert trace.start == cur
             depth = total_depth
-            for step in trace.steps:
-                cur = apply_step(cur, step)
-                assert is_maximum_feasible(seq, cur)
+            for remove, add in zip(trace.removed, trace.added):
+                cur = bf.swap(cur, remove, add)
+                assert bf.is_maximum_feasible(raw, cur)
                 new_depth = sum(depth_of[i] for i in cur)
                 assert new_depth < depth
                 depth = new_depth
@@ -194,11 +162,8 @@ class TestMinimalSet:
             seq = normalize(raw)
             ps = build_piles(seq)
             cur = tuple(sorted(s))
-            while True:
-                moves = downward_moves(seq, ps, cur)
-                if not moves:
-                    break
-                cur = apply_step(cur, rng.choice(moves))
+            while moves := bf.downward_moves(raw, cur):
+                cur = bf.swap(cur, *rng.choice(moves))
             assert cur == minimal_set(seq, ps, s)[0]
 
     @pytest.mark.parametrize("reach", [1, 2, 5])
@@ -212,12 +177,8 @@ class TestMinimalSet:
         rng = random.Random(reach)
         for _ in range(15):
             s = bf.staircase_set(grid, reach, rng)
-            moves = downward_moves(seq, ps, s)
-            assert {(m.remove, m.add) for m in moves} == naive_downward_moves(
-                seq, ps, s
-            )
             m, trace = minimal_set(seq, ps, s)
-            assert (m, trace) == naive_descent(seq, ps, s)
+            assert (m, trace) == naive_descent(raw, s)
             assert m == tuple(row[0] for row in grid)
 
 
@@ -279,7 +240,7 @@ class TestWitness:
 
     def test_identical_sets(self):
         rs = witness(normalize(K22_NO[0]), (1, 2), (1, 2))
-        assert rs.removed == rs.added == () and rs.steps == ()
+        assert rs.removed == rs.added == ()
         assert rs.end() == (1, 2)
 
     def test_no_instance(self):
@@ -295,7 +256,7 @@ class TestWitness:
             sets = list(rs.sets())
             assert sets[0] == i_set and sets[-1] == j_set
             for s in sets:
-                assert is_maximum_feasible(seq, s)
+                assert bf.is_maximum_feasible(raw, s)
 
     def test_set_to_itself_has_no_step(self):
         # I∧I = I, so neither clamped descent moves.
@@ -385,6 +346,28 @@ class TestRepresentativesOnDemand:
             minimal_set(seq, ps, j_set)[0],
         )
 
+    @pytest.mark.parametrize(
+        "instance, yes", [(DETOUR, True), (K22_NO, False)], ids=["yes", "no"]
+    )
+    def test_read_builds_no_walk(self, instance, yes, monkeypatch):
+        # The descent to the representatives keeps only its fixed point.
+        raw, i_set, j_set = instance
+        seq = normalize(raw)
+        answer = reconfigure(seq, i_set, j_set)
+        assert (answer.walk is not None) is yes
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a walk built while reading the representatives")
+
+        monkeypatch.setattr(lisrc.reconfig, "ReconfSequence", refuse)
+        ps = build_piles(seq)
+        representatives = answer.minimal_i, answer.minimal_j
+        monkeypatch.undo()
+        assert representatives == (
+            minimal_set(seq, ps, i_set)[0],
+            minimal_set(seq, ps, j_set)[0],
+        )
+
 
 class TestEverySearchMoves:
     """Each `_lowest_depth` search inside `_descend` moves a pile."""
@@ -415,17 +398,16 @@ class TestEverySearchMoves:
 
 class TestApplyStep:
     def test_swap(self):
-        assert apply_step((1, 3, 5), SwapStep(remove=3, add=4)) == (1, 4, 5)
+        assert bf.swap((1, 3, 5), 3, 4) == (1, 4, 5)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            apply_step((1, 3), SwapStep(remove=2, add=4))
+            bf.swap((1, 3), 2, 4)
         with pytest.raises(ValueError):
-            apply_step((1, 3), SwapStep(remove=1, add=3))
+            bf.swap((1, 3), 1, 3)
 
     def test_sequence_replay(self):
         rs = ReconfSequence(start=(1, 3, 5), removed=(1, 3), added=(2, 4))
-        assert rs.steps == (SwapStep(remove=1, add=2), SwapStep(remove=3, add=4))
         assert list(rs.sets()) == [(1, 3, 5), (2, 3, 5), (2, 4, 5)]
         assert rs.end() == (2, 4, 5)
 
@@ -527,10 +509,10 @@ class TestReplay:
         size = data.draw(st.integers(1, bf.lis_len(raw)))
         sets = st.sampled_from(bf.feasible_sets(raw, size))
         i_set, j_set = data.draw(sets), data.draw(sets)
-        found = oracle_shortest(normalize(raw), i_set, j_set, maximum_only=False)
-        if found is not None:
-            check_replay(found[1])
-            check_replay(data.draw(corrupted(found[1])))
+        rs = oracle_shortest(normalize(raw), i_set, j_set, maximum_only=False)
+        if rs is not None:
+            check_replay(rs)
+            check_replay(data.draw(corrupted(rs)))
 
     def test_add_changes_slot(self):
         rs = ReconfSequence(start=(1, 3, 5), removed=(1, 5), added=(4, 2))

@@ -9,8 +9,9 @@ from lisrc import (
     build_piles,
     IndexOutOfRange,
     Infeasible,
+    NotMaximum,
     is_feasible,
-    is_maximum_feasible,
+    minimal_set,
     normalize,
     precedes,
     require_feasible,
@@ -124,6 +125,15 @@ class TestNormalize:
             assert (raw[i] < raw[j]) == (seq.perm[i] < seq.perm[j])
 
 
+class TestValue:
+    def test_non_int_index_is_out_of_range(self):
+        seq = normalize((7, 8, 5, 6))
+        for bad in (True, 1.0, "2", None):
+            with pytest.raises(IndexOutOfRange) as info:
+                seq.value(bad)
+            assert info.value.index is bad
+
+
 class TestPrecedes:
     def test_increasing_pair(self):
         assert precedes(normalize((7, 8, 5, 6)), 1, 2)
@@ -145,6 +155,11 @@ class TestPrecedes:
             precedes(seq, 1, 5)
         with pytest.raises(IndexOutOfRange):
             precedes(seq, -1, 2)
+        # As in `require_feasible`, an index is an int: True is not read as
+        # position 1, nor 1.0 or "2" as the position they spell.
+        for i, j in [(True, 2), (1.0, 2), (1, "2")]:
+            with pytest.raises(IndexOutOfRange):
+                precedes(seq, i, j)
 
     @given(perms())
     def test_matches_raw_comparison(self, raw):
@@ -213,18 +228,33 @@ class TestLisLength:
             assert build_piles(normalize(raw)).k == bf.lis_len(raw)
 
 
+def is_maximum_feasible(seq, s):
+    """Whether `minimal_set` accepts `s` as a maximum feasible set."""
+    try:
+        minimal_set(seq, build_piles(seq), s)
+    except (Infeasible, NotMaximum):
+        return False
+    return True
+
+
 class TestIsMaximumFeasible:
+    """The package's maximality check, and the reference the tests use."""
+
     def test_k22_other_color_class(self):
         assert is_maximum_feasible(normalize((7, 8, 5, 6)), {3, 4})
+        assert bf.is_maximum_feasible((7, 8, 5, 6), {3, 4})
 
     def test_too_small(self):
         assert not is_maximum_feasible(normalize((7, 8, 5, 6)), {1})
+        assert not bf.is_maximum_feasible((7, 8, 5, 6), {1})
 
     def test_infeasible(self):
         assert not is_maximum_feasible(normalize((7, 8, 5, 6)), {1, 3})
+        assert not bf.is_maximum_feasible((7, 8, 5, 6), {1, 3})
 
     def test_empty_sequence(self):
         assert is_maximum_feasible(normalize(()), set())
+        assert bf.is_maximum_feasible((), set())
 
     def test_agrees_with_enumeration(self):
         rng = random.Random(11)
@@ -234,4 +264,6 @@ class TestIsMaximumFeasible:
             maxima = set(bf.max_feasible_sets(raw))
             for size in range(len(raw) + 1):
                 for s in itertools.combinations(range(1, len(raw) + 1), size):
-                    assert is_maximum_feasible(seq, s) == (s in maxima)
+                    expected = s in maxima
+                    assert is_maximum_feasible(seq, s) == expected
+                    assert bf.is_maximum_feasible(raw, s) == expected
