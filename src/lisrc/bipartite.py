@@ -31,6 +31,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import lt
 from typing import Iterable
 
 from .piles import PileSystem, build_piles
@@ -216,8 +218,19 @@ def decreasing_triple(seq: Sequence) -> tuple[int, int, int] | None:
     graph is bipartite exactly when it has none.  The choice is fixed: the
     leftmost middle position j, then the leftmost larger value before it,
     then the leftmost smaller value after it.
+
+    A permutation avoids 321 exactly when its values that are not
+    left-to-right maxima increase.  Proof: the last two values of a 321
+    follow a larger one, so they are non-maxima out of order; and when a
+    non-maximum v is followed by a smaller non-maximum, the larger value
+    before v heads a 321 with both.  That test runs first, in C-level
+    iterator passes; the scan that picks the fixed triple runs only when
+    a triple exists.
     """
     perm = seq.perm
+    rest = list(compress(perm, map(lt, perm, accumulate(perm, max))))
+    if all(map(lt, rest, rest[1:])):
+        return None
     n = len(perm)
     # min_after[j] is the smallest value right of 0-based position j.
     min_after = [n + 1] * n

@@ -217,9 +217,10 @@ def _render_walk(rs: ReconfSequence, swaps: bool = True) -> Iterator[str]:
     `{set after}`.  Lazy, so the JSON path never renders the walk and the
     text path holds one set at a time.  The label strings of the members
     are kept in a list parallel to the sorted members of the walk's
-    replay and edited at the same slots, so each index is formatted once
-    when it enters the set and each line costs O(k), the size of its
-    text.  A step that does not apply raises ValueError.
+    replay and edited at the same slots, in place when a step keeps its
+    slot, so each index is formatted once when it enters the set and
+    each line costs O(k), the size of its text.  A step that does not
+    apply raises ValueError.
 
     >>> walk = ReconfSequence(start=(1, 3), removed=(1, 3), added=(2, 4))
     >>> for line in _render_walk(walk):
@@ -233,9 +234,13 @@ def _render_walk(rs: ReconfSequence, swaps: bool = True) -> Iterator[str]:
     labels = list(map(str, sorted(rs.start)))
     yield "{" + ",".join(labels) + "}"
     for cur, i, j in rs._replay():
-        gone = labels.pop(i)
         label = str(cur[j])
-        labels.insert(j, label)
+        if i == j:
+            gone = labels[i]
+            labels[i] = label
+        else:
+            gone = labels.pop(i)
+            labels.insert(j, label)
         text = "{" + ",".join(labels) + "}"
         yield f"swap {gone} -> {label}: {text}" if swaps else text
 

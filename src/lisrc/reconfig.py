@@ -44,7 +44,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
 from .errors import NotMaximum, SizeMismatch
@@ -81,9 +80,9 @@ class ReconfSequence:
     def sets(self) -> Iterator[FeasibleSet]:
         """Yield every set along the sequence, the start included.
 
-        The replay of `_replay`, O(k) per step, so the whole replay costs
-        what printing its sets costs.  A step that does not apply raises
-        ValueError, after the sets before it were yielded.
+        The replay of `_replay`, then one O(k) copy per step, so the whole
+        replay costs what printing its sets costs.  A step that does not
+        apply raises ValueError, after the sets before it were yielded.
 
         >>> walk = ReconfSequence(start=(1, 3, 5), removed=(1, 3, 5, 4),
         ...                       added=(2, 4, 7, 6))
@@ -103,26 +102,38 @@ class ReconfSequence:
         """Apply the steps to one sorted list, edited in place.
 
         After each step, yields the list, the slot `remove` left and the
-        slot `add` took.  Each step finds `remove` and the slot of `add`
-        by binary search, then deletes and inserts, O(k).  `add` may land
-        in another slot than `remove` left, as in walks between
-        non-maximum sets.  A step that does not apply raises ValueError.
-        `sets` and the CLI's text walk both read this one replay.
+        slot `add` took.  Each step finds `remove` by binary search.  When
+        `add` fits between the neighbours of that slot, as on every step
+        between maximum sets (the new member stays on the same pile), it
+        is written there in O(1).  Otherwise a second search finds the
+        slot of `add`, then a delete and an insert move the members
+        between, O(k): `add` may land in another slot than `remove` left,
+        as in walks between non-maximum sets.  A step that does not apply
+        raises ValueError.  `sets` and the CLI's text walk both read this
+        one replay.
         """
         cur = sorted(self.start)
-        size = len(cur)
+        last = len(cur) - 1
         for remove, add in zip(self.removed, self.added):
             i = bisect_left(cur, remove)
-            j = bisect_left(cur, add)
-            if i == size or cur[i] != remove or (j < size and cur[j] == add):
-                raise ValueError(
-                    f"swap {remove} -> {add} does not apply to {tuple(cur)}"
-                )
-            if j > i:
-                j -= 1
-            del cur[i]
-            cur.insert(j, add)
-            yield cur, i, j
+            if i <= last and cur[i] == remove:
+                if (
+                    add != remove
+                    and (i == 0 or cur[i - 1] < add)
+                    and (i == last or add < cur[i + 1])
+                ):
+                    cur[i] = add
+                    yield cur, i, i
+                    continue
+                j = bisect_left(cur, add)
+                if j > last or cur[j] != add:
+                    if j > i:
+                        j -= 1
+                    del cur[i]
+                    cur.insert(j, add)
+                    yield cur, i, j
+                    continue
+            raise ValueError(f"swap {remove} -> {add} does not apply to {tuple(cur)}")
 
     def end(self) -> FeasibleSet:
         """The last set of the sequence, by the replay of `sets`."""
@@ -237,29 +248,37 @@ def _descend(
     fixed point and returns the removed and the added index of each move.
     The lowest pile id that admits a move goes first, to the lowest
     reachable depth not below its floor (`_lowest_depth`).  A pile is
-    re-examined only after one of its neighbours moved, and only piles
-    above their floor enter the worklist.  An examination first tests
-    the one entry just below the member in O(1): by `_lowest_depth`'s
-    suffix argument, when that entry does not fit no deeper one does,
-    and when it fits the search finds a move.  So every search moves a
-    pile, and the descent costs O((k + moves) log n), heap included.
-    `last_value` is n + 1, the bound to the right of the last pile.
+    dirty when it may admit a move: at the start every pile above its
+    floor, later a neighbour of a pile that moved, if above its floor.  A
+    clean pile admits no move, since it was examined or moved and no
+    neighbour moved since.  A cursor stands at the lowest dirty pile, and
+    every pile left of it is clean.  A move at pile t can dirty only
+    t - 1 and t + 1, so the cursor steps back to t - 1 when that one is
+    dirty and otherwise scans forward from t + 1 (`list.index`).  It
+    steps back at most once per move, so scheduling costs O(k + moves),
+    and an examination clears its pile's flag, so at most k + 2·moves
+    examinations happen.  An examination first tests the one entry just
+    below the member in O(1): by `_lowest_depth`'s suffix argument, when
+    that entry does not fit no deeper one does, and when it fits the
+    search finds a move.  So every O(log n) search moves a pile, and the
+    descent costs O(k + moves·log n).  `last_value` is n + 1, the bound
+    to the right of the last pile.
     """
     removed: list[int] = []
     added: list[int] = []
-    heap = [t for t in range(1, k + 1) if depth[t] > floor[t]]
-    heapify(heap)
-    while heap:
-        t = heappop(heap)
+    # Slot 0 is the sentinel pile, never dirty; slot k + 1 stops the scan.
+    dirty = [d > f for d, f in zip(depth, floor)]
+    dirty.append(True)
+    t = dirty.index(True, 1)
+    while t <= k:
+        dirty[t] = False
         d = depth[t]
-        # A pile pushed twice may have reached its floor in between.
-        if d == floor[t]:
-            continue
         pile_idx = piles[t]
         left_index = chosen[t - 1]
         right_value = perm[chosen[t + 1] - 1] if t < k else last_value
         below = pile_idx[d - 1]
         if below < left_index or perm[below - 1] > right_value:
+            t = dirty.index(True, t + 1)
             continue
         lo = _lowest_depth(perm, pile_idx, left_index, right_value, d - 1, floor[t])
         u = pile_idx[lo]
@@ -268,10 +287,13 @@ def _descend(
         chosen[t] = u
         depth[t] = lo
         # Only the two pile neighbors gain new room to move.
-        if t > 1 and depth[t - 1] > floor[t - 1]:
-            heappush(heap, t - 1)
         if t < k and depth[t + 1] > floor[t + 1]:
-            heappush(heap, t + 1)
+            dirty[t + 1] = True
+        if depth[t - 1] > floor[t - 1]:
+            dirty[t - 1] = True
+            t -= 1
+        else:
+            t = dirty.index(True, t + 1)
     return removed, added
 
 
@@ -300,7 +322,7 @@ def minimal_set(
     `ps.k`) and returns the fixed point and the executed descent, a walk
     from `s` whose length is the move count.  Each move takes the lowest
     pile id that admits one, to its deepest reachable entry, in
-    O((k + moves) log n) in all.
+    O(k + moves·log n) in all.
     """
     members = _require_size(ps, require_feasible(seq, s))
     fixed, removed, added = _to_bottom(seq, ps, members)

@@ -4,9 +4,10 @@ Everything here works straight off the raw value list, or straight off
 the fields of a walk or a pile system, so it shares no code path with
 the package.
 Exponential, except `lis_length`, `is_maximum_feasible`, `deal_reference`,
-`downward_moves`, `pile_coord`, `rank_normalize`, `scan_int_tokens`,
-`require_pair`, `two_coloring`, `swap`, `replay_sets`, `render_walk`,
-`swap_neighbours`, `bfs_walk` and the staircase builders; keep n small.
+`downward_moves`, `clamped_descent`, `pile_coord`, `rank_normalize`,
+`scan_int_tokens`, `require_pair`, `first_decreasing_triple`,
+`two_coloring`, `swap`, `replay_sets`, `render_walk`, `swap_neighbours`,
+`bfs_walk` and the staircase builders; keep n small.
 """
 import itertools
 from bisect import bisect_left, bisect_right
@@ -311,6 +312,19 @@ def decreasing_triples(raw):
     )
 
 
+def first_decreasing_triple(raw):
+    """The decreasing triple a < j < c with the leftmost middle j, then the
+    leftmost a, then the leftmost c, by trying every j in turn; None when
+    there is none."""
+    n = len(raw)
+    for j in range(1, n + 1):
+        larger = [a for a in range(1, j) if raw[a - 1] > raw[j - 1]]
+        smaller = [c for c in range(j + 1, n + 1) if raw[c - 1] < raw[j - 1]]
+        if larger and smaller:
+            return larger[0], j, smaller[0]
+    return None
+
+
 def two_coloring(raw):
     """Breadth-first two-colouring of the inversion graph: a Bipartition,
     or NotBipartite carrying an odd cycle.
@@ -440,6 +454,38 @@ def downward_moves(raw, s):
         and increasing(raw, sorted(members - {v} | {u}))
     ]
     return sorted(moves, key=lambda m: (pile_of[m[1]], depth_of[m[1]]))
+
+
+def clamped_descent(raw, s, floor):
+    """Greedy descent of the maximum set `s` in which no pile goes below
+    the depth of the member of the maximum set `floor` on that pile.
+
+    Each round tries the members in pile order, and each member against
+    the entries of its pile from the floor's depth up to its own; the
+    first swap that keeps the set increasing is made.  So the lowest pile
+    id that admits a move goes first, to its lowest depth not below the
+    floor.  Returns the fixed point and the removed and added lists.
+    """
+    pile_of, depth_of, _ = deal_reference(raw)
+    by_depth = sorted(range(1, len(raw) + 1), key=depth_of.__getitem__)
+    floor_depth = {pile_of[m]: depth_of[m] for m in floor}
+    cur = tuple(sorted(s))
+    removed, added = [], []
+    while True:
+        moves = (
+            (v, u)
+            for v in cur
+            for u in by_depth
+            if pile_of[u] == pile_of[v]
+            and floor_depth[pile_of[v]] <= depth_of[u] < depth_of[v]
+            and increasing(raw, sorted(set(cur) - {v} | {u}))
+        )
+        move = next(moves, None)
+        if move is None:
+            return cur, removed, added
+        removed.append(move[0])
+        added.append(move[1])
+        cur = swap(cur, *move)
 
 
 def pile_coord(raw, i):

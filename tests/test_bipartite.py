@@ -194,6 +194,12 @@ class TestDecreasingTriple:
                 assert {(a, b), (a, c), (b, c)} <= bf.inversion_edges(raw)
                 assert (b, a, c) == min((y, x, z) for x, y, z in triples)
 
+    def test_matches_scan_on_every_permutation_up_to_8(self):
+        for n in range(9):
+            for raw in itertools.permutations(range(1, n + 1)):
+                expected = bf.first_decreasing_triple(raw)
+                assert decreasing_triple(normalize(raw)) == expected
+
 
 class TestMixedPiles:
     def test_both_piles_mixed(self):

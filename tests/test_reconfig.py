@@ -18,7 +18,8 @@ from lisrc import (
     witness,
 )
 import lisrc.reconfig
-from lisrc.reconfig import _placed
+from lisrc.cli import _render_walk
+from lisrc.reconfig import _meet_walk, _placed
 
 import bruteforce as bf
 from conftest import K22_NO, DETOUR
@@ -396,6 +397,72 @@ class TestEverySearchMoves:
         assert descents["searches"] == descents["moves"] > 0
 
 
+class CountingPiles(tuple):
+    """Piles that count their reads; `_descend` reads one per examination."""
+
+    def __getitem__(self, t):
+        self.reads += 1
+        return tuple.__getitem__(self, t)
+
+
+@pytest.fixture
+def halves(monkeypatch):
+    """Each `_descend` call's moves, pile count and examinations."""
+    calls = []
+    descend = lisrc.reconfig._descend
+
+    def recording_descend(perm, piles, k, *rest):
+        counting = CountingPiles(piles)
+        counting.reads = 0
+        removed, added = descend(perm, counting, k, *rest)
+        calls.append((removed, added, k, counting.reads))
+        return removed, added
+
+    monkeypatch.setattr(lisrc.reconfig, "_descend", recording_descend)
+    return calls
+
+
+class TestClampedDescentOrder:
+    """`_meet_walk`'s two halves, move for move, against `bf.clamped_descent`."""
+
+    @staticmethod
+    def check_pairs(raw, pairs, halves):
+        """Check each pair's halves; return the number of moves made."""
+        moves = 0
+        seq = normalize(raw)
+        ps = build_piles(seq)
+        depth = bf.deal_reference(raw)[1].__getitem__
+        for i_set, j_set in pairs:
+            # Member t of a maximum set lies on pile t.
+            meet = tuple(min(a, b, key=depth) for a, b in zip(i_set, j_set))
+            halves.clear()
+            _, end_i, end_j = _meet_walk(seq, ps, i_set, j_set)
+            assert len(halves) == 2
+            for (removed, added, k, examined), s, end in zip(
+                halves, (i_set, j_set), (end_i, end_j)
+            ):
+                assert bf.clamped_descent(raw, s, meet) == (end, removed, added)
+                assert examined <= k + 2 * len(removed)
+                moves += len(removed)
+        return moves
+
+    def test_every_pair_up_to_7(self, halves):
+        moves = 0
+        for n in range(1, 8):
+            for raw in itertools.permutations(range(1, n + 1)):
+                maxima = bf.max_feasible_sets(raw)
+                pairs = itertools.product(maxima, repeat=2)
+                moves += self.check_pairs(raw, pairs, halves)
+        assert moves > 0
+
+    @pytest.mark.parametrize("reach", [1, 2, 5])
+    def test_staircase(self, reach, halves):
+        raw, grid = bf.staircase(6, 40, reach)
+        rng = random.Random(reach)
+        sets = [bf.staircase_set(grid, reach, rng) for _ in range(8)]
+        assert self.check_pairs(raw, itertools.product(sets, repeat=2), halves) > 0
+
+
 class TestApplyStep:
     def test_swap(self):
         assert bf.swap((1, 3, 5), 3, 4) == (1, 4, 5)
@@ -519,6 +586,25 @@ class TestReplay:
         assert list(rs.sets()) == [(1, 3, 5), (3, 4, 5), (2, 3, 4)]
         assert rs.end() == (2, 3, 4)
 
+    def test_slots_of_each_step(self):
+        # A step within its slot is written in place; another moves members.
+        rs = ReconfSequence(start=(1, 3, 5), removed=(3, 1), added=(4, 6))
+        slots = [(list(cur), i, j) for cur, i, j in rs._replay()]
+        assert slots == [([1, 4, 5], 1, 1), ([4, 5, 6], 0, 2)]
+
+    def test_same_slot_step_that_keeps_its_member(self):
+        rs = ReconfSequence(start=(1, 3, 5), removed=(1, 3), added=(2, 3))
+        sets = rs.sets()
+        assert next(sets) == (1, 3, 5) and next(sets) == (2, 3, 5)
+        with pytest.raises(ValueError, match=r"3 -> 3 does not apply to \(2, 3, 5\)"):
+            next(sets)
+
+    @pytest.mark.parametrize("add", [1, 5], ids=["left", "right"])
+    def test_add_already_a_member_of_a_neighbour_slot(self, add):
+        rs = ReconfSequence(start=(1, 3, 5), removed=(3,), added=(add,))
+        with pytest.raises(ValueError, match=rf"3 -> {add} does not apply"):
+            rs.end()
+
     def test_fields_of_unequal_length(self):
         with pytest.raises(ValueError, match="2 removed but 1 added"):
             ReconfSequence(start=(1, 3), removed=(1, 3), added=(2,))
@@ -529,3 +615,43 @@ class TestReplay:
         assert next(sets) == (1, 3) and next(sets) == (2, 3)
         with pytest.raises(ValueError, match=r"does not apply to \(2, 3\)"):
             next(sets)
+
+
+def check_render(rs):
+    """`_render_walk` yields `bf.render_walk`'s lines for the steps that
+    apply, then raises the replay's error at the first one that does not."""
+    sets, error = replay_outcome(bf.replay_sets(rs))
+    applied = len(sets) - 1
+    prefix = ReconfSequence(
+        start=rs.start, removed=rs.removed[:applied], added=rs.added[:applied]
+    )
+    assert replay_outcome(_render_walk(rs)) == (bf.render_walk(prefix)[1:], error)
+
+
+class TestRenderWalk:
+    """The CLI's text walk against the reference rendering."""
+
+    @UNTIMED
+    @given(random_walks())
+    def test_random_walks(self, rs):
+        check_render(rs)
+
+    @UNTIMED
+    @given(st.data())
+    def test_witness_walks(self, data):
+        raw = data.draw(SMALL_PERMS)
+        maxima = st.sampled_from(bf.max_feasible_sets(raw))
+        rs = witness(normalize(raw), data.draw(maxima), data.draw(maxima))
+        if rs is not None:
+            check_render(data.draw(corrupted(rs)))
+
+    @UNTIMED
+    @given(st.data())
+    def test_general_oracle_walks(self, data):
+        raw = data.draw(SMALL_PERMS)
+        size = data.draw(st.integers(1, bf.lis_len(raw)))
+        sets = st.sampled_from(bf.feasible_sets(raw, size))
+        i_set, j_set = data.draw(sets), data.draw(sets)
+        rs = oracle_shortest(normalize(raw), i_set, j_set, maximum_only=False)
+        if rs is not None:
+            check_render(data.draw(corrupted(rs)))
