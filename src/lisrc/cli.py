@@ -8,8 +8,8 @@ Instance file format, three data lines::
     3 4         <- index set J, 1-based
 
 A value or index is an optional `-` followed by ASCII digits; any
-whitespace separates them.  The file is read as UTF-8, and a leading
-byte-order mark is ignored.
+whitespace separates them.  Lines end at `\\n`, `\\r\\n` or `\\r` only.
+The file is read as UTF-8, and a leading byte-order mark is ignored.
 
 Exit status is 0 on success and 2 on any error, a stdout whose reader
 has left included (that one without a message).  With --exit-status the
@@ -43,6 +43,8 @@ ORACLE_BOUND_ENV = "LISRC_ORACLE_BOUND"
 # Text lines per write.  A walk line holds a whole set, so one batch is
 # O(k) text, far below the O(k) per step of a long walk's whole output.
 EMIT_BATCH_LINES = 16
+# The lines `_int_tokens` hands to the JSON decoder.
+_JSON_LINE = re.compile(r"[0-9 -]*")
 
 
 # ---------------------------------------------------------------------------
@@ -57,20 +59,21 @@ def parse_instance(
     With require_sets=False a lone sequence line is accepted and the two
     set slots come back as None.
     """
+    lines = _lines(text)
     data_lines: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         data_lines.append((lineno, line))
     if require_sets and len(data_lines) < 3:
         raise ParseError(
-            len(text.splitlines()) + 1,
+            len(lines) + 1,
             1,
             f"expected 3 data lines (sequence, I, J), found {len(data_lines)}",
         )
     if not data_lines:
-        raise ParseError(len(text.splitlines()) + 1, 1, "expected a sequence line")
+        raise ParseError(len(lines) + 1, 1, "expected a sequence line")
     if len(data_lines) > 3 or (not require_sets and len(data_lines) == 2):
         lineno, _ = data_lines[3 if len(data_lines) > 3 else 1]
         raise ParseError(lineno, 1, "unexpected extra data line")
@@ -85,24 +88,52 @@ def parse_instance(
     return seq, i_set, j_set
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of `text`, broken at `\\n`, `\\r\\n` and `\\r` only.
+
+    `str.splitlines` also breaks at form feed, vertical tab, `\\x1c` to
+    `\\x1e`, U+0085, U+2028 and U+2029, which inside a data line are
+    whitespace that separates values and inside a comment are text.  Like
+    `splitlines`, a final line break opens no further line.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _int_tokens(lineno: int, line: str, distinct: bool = False) -> list[int]:
     """The integers of one data line; with `distinct`, a repeat is a ParseError.
 
     A token is an optional `-` followed by ASCII digits, and tokens are
-    separated by any whitespace.  On an ASCII line without `+` or `_`,
-    `int` accepts exactly such tokens, so the whole line converts in one
-    pass.  The line is scanned token by token only when that pass fails,
-    to report the first bad token, or when the line falls outside that
-    case.
+    separated by any whitespace.  The line is read by the first of three
+    tiers that accepts it:
+
+    1. A line of `-`, ASCII digits and single spaces between tokens, as
+       `format_instance` writes, is one JSON array once its spaces become
+       commas.  JSON's integer grammar `-?(0|[1-9][0-9]*)` is a subset of
+       ours and gives the same int for each token it accepts; all it
+       rejects (leading zeros, a lone `-`, `1-2`, doubled or edge spaces,
+       over 4300 digits) raises ValueError and falls to the next tier.
+    2. On an ASCII line without `+` or `_`, `int` accepts exactly our
+       tokens, so `split` and `int` convert the whole line in one pass.
+       This keeps tab-separated and aligned files off the scanner.
+    3. Otherwise, or when a repeat must be reported, the line is scanned
+       token by token, to report the first bad token or repeat by column.
     """
-    if line.isascii() and "+" not in line and "_" not in line:
+    values = None
+    if _JSON_LINE.fullmatch(line):
+        try:
+            values = json.loads("[" + line.replace(" ", ",") + "]")
+        except ValueError:
+            pass
+    if values is None and line.isascii() and "+" not in line and "_" not in line:
         try:
             values = list(map(int, line.split()))
         except ValueError:
             pass
-        else:
-            if not distinct or len(set(values)) == len(values):
-                return values
+    if values is not None and (not distinct or len(set(values)) == len(values)):
+        return values
     values = []
     seen: set[int] = set()
     for match in re.finditer(r"\S+", line):
@@ -215,11 +246,16 @@ def _render_walk(rs: ReconfSequence, swaps: bool = True) -> Iterator[str]:
 
     A swap line reads `swap a -> b: {set after}`, or with swaps=False just
     `{set after}`.  Lazy, so the JSON path never renders the walk and the
-    text path holds one set at a time.  The label strings of the members
-    are kept in a list parallel to the sorted members of the walk's
-    replay and edited at the same slots, in place when a step keeps its
-    slot, so each index is formatted once when it enters the set and
-    each line costs O(k), the size of its text.  A step that does not
+    text path holds one set at a time.  The set's line is kept as one
+    string, and the label strings of the members in a list parallel to
+    the sorted members of the walk's replay, edited at the same slots, so
+    each index is formatted once when it enters the set.  A step that
+    keeps its slot, as every step between maximum sets does, edits the
+    line with one `str.replace` of the old label by the new one, each
+    with its delimiters around it (`{` or `,` before, `,` or `}` after):
+    the members are distinct, so that needle occurs once.  A step that
+    changes slot joins the labels again.  Either way a line costs O(k),
+    the size of its text, in C string routines.  A step that does not
     apply raises ValueError.
 
     >>> walk = ReconfSequence(start=(1, 3), removed=(1, 3), added=(2, 4))
@@ -232,16 +268,21 @@ def _render_walk(rs: ReconfSequence, swaps: bool = True) -> Iterator[str]:
     ['{1,3}', '{2,3}', '{2,4}']
     """
     labels = list(map(str, sorted(rs.start)))
-    yield "{" + ",".join(labels) + "}"
+    text = "{" + ",".join(labels) + "}"
+    yield text
+    last = len(labels) - 1
     for cur, i, j in rs._replay():
         label = str(cur[j])
         if i == j:
             gone = labels[i]
             labels[i] = label
+            before = "{" if i == 0 else ","
+            after = "}" if i == last else ","
+            text = text.replace(f"{before}{gone}{after}", f"{before}{label}{after}", 1)
         else:
             gone = labels.pop(i)
             labels.insert(j, label)
-        text = "{" + ",".join(labels) + "}"
+            text = "{" + ",".join(labels) + "}"
         yield f"swap {gone} -> {label}: {text}" if swaps else text
 
 
@@ -314,7 +355,7 @@ def _read_utf8(path: str) -> str:
     except UnicodeDecodeError as exc:
         # The bytes before the bad one decode; count its line and column
         # in them the way parse_instance counts in text.
-        lines = (data[: exc.start].decode("utf-8") + "x").splitlines()
+        lines = _lines(data[: exc.start].decode("utf-8") + "x")
         raise ParseError(
             len(lines),
             len(lines[-1]),

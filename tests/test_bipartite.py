@@ -23,6 +23,7 @@ from lisrc import (
     two_coloring,
     witness,
 )
+import lisrc.bipartite
 from lisrc.bipartite import (
     _dyck_to_permutation,
     _rotate_to_dyck,
@@ -199,6 +200,20 @@ class TestDecreasingTriple:
             for raw in itertools.permutations(range(1, n + 1)):
                 expected = bf.first_decreasing_triple(raw)
                 assert decreasing_triple(normalize(raw)) == expected
+
+    def test_avoiders_skip_the_scan(self, monkeypatch):
+        # Any split into two increasing subsequences proves avoidance, so
+        # a wrong split only costs time: the scan would then run and find
+        # no triple.  The excedance split must answer alone; the scan is
+        # the only caller of `min`.
+        def scan(*args):
+            raise AssertionError("the scan ran on a 321-avoiding permutation")
+
+        monkeypatch.setattr(lisrc.bipartite, "min", scan, raising=False)
+        rng = random.Random(9)
+        for n in range(40):
+            for _ in range(25):
+                assert decreasing_triple(normalize(random_321_avoiding(n, rng))) is None
 
 
 class TestMixedPiles:

@@ -111,6 +111,16 @@ class TestParseInstance:
                 | st.text(" \t\xa0", min_size=1, max_size=2),
                 max_size=12,
             ).map("".join),
+            # Lines of `-` and digits with single spaces, most of which the
+            # JSON decoder reads; an empty token makes a doubled or edge space.
+            st.lists(
+                st.from_regex(r"-?[0-9]{1,3}", fullmatch=True)
+                | st.sampled_from(["", "-", "-0", "00", "01", "-007", "1-2", "--1"]),
+                max_size=12,
+            ).map(" ".join),
+            st.lists(st.text("0123456789-", min_size=1, max_size=3), max_size=12).map(
+                " ".join
+            ),
         ),
         st.booleans(),
     )
@@ -122,6 +132,80 @@ class TestParseInstance:
                 return str(exc), exc.line, exc.column
 
         assert outcome(_int_tokens) == outcome(bf.scan_int_tokens)
+
+    def test_token_too_long_for_int_on_a_json_line(self):
+        # The decoder refuses the 4301-digit token as `int` does, and the
+        # scanner reports it.
+        token = "1" * 4301
+        for line in (f"7 {token} 6", f"7\t{token}\t6"):
+            with pytest.raises(ParseError) as info:
+                _int_tokens(2, line)
+            assert (info.value.line, info.value.column) == (2, 3)
+            assert str(info.value) == f"line 2, column 3: invalid integer {token!r}"
+
+    def test_long_line(self):
+        rng = random.Random(10)
+        line = " ".join(str(rng.randrange(-(10**12), 10**12)) for _ in range(10**5))
+        assert _int_tokens(1, line) == list(map(int, line.split()))
+
+    @pytest.mark.parametrize(
+        "line, decoded",
+        [
+            ("7 8 -5 0", True),
+            ("-0", True),
+            ("7 8 05 6", False),
+            ("7  8", False),
+            (" 7 8", False),
+            ("7 8 ", False),
+            ("7\t8", False),
+        ],
+    )
+    def test_json_tier_reads_single_spaced_lines(self, monkeypatch, line, decoded):
+        decoded_lines = []
+        loads = json.loads
+
+        def counting_loads(text):
+            value = loads(text)
+            decoded_lines.append(text)
+            return value
+
+        monkeypatch.setattr(lisrc.cli.json, "loads", counting_loads)
+        assert _int_tokens(1, line) == list(map(int, line.split()))
+        assert bool(decoded_lines) == decoded
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "7 8\f5 6\n1 2\n3 4\n",
+            "7 8\v5 6\x1c\n1\x1d2\x1e\n3\x854\u2029\n",
+            "# a note\u2028 7 8\n7 8 5 6\n1 2\n3 4\n",
+            "7 8 5 6\r\n1 2\r\n3 4\r\n",
+            "7 8 5 6\r1 2\r3 4",
+        ],
+        ids=["form-feed", "other-breaks", "comment-u2028", "crlf", "cr"],
+    )
+    def test_lines_break_at_newlines_only(self, text):
+        # Other characters that `str.splitlines` breaks at are whitespace
+        # inside a data line and text inside a comment.
+        seq, i_set, j_set = parse_instance(text)
+        assert seq.raw == (7, 8, 5, 6) and (i_set, j_set) == ((1, 2), (3, 4))
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("7 8\f5 6\n1 2\nx 4\n", (3, 1)),
+            ("# \u2028\f\n7 8 5 6\n1 2\n3 x\n", (4, 3)),
+            ("7 8 5 6\r\n\r\n1 2\r\n3 x\r\n", (4, 3)),
+            ("7 8 5 6\r1 x\r3 4\r", (2, 3)),
+            ("7 8 5 6\f\n1 2\f\n", (3, 1)),
+            ("7 8 5 6\r\n1 2\r\n", (3, 1)),
+            ("7 8 5 6\n1 2\n3 4\r\r5\n", (5, 1)),
+        ],
+    )
+    def test_line_numbers(self, text, where):
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert (info.value.line, info.value.column) == where
 
     def test_missing_lines(self):
         with pytest.raises(ParseError):
@@ -482,6 +566,8 @@ class TestRun:
             (b"7 8 5 6\n1 \xe9\n3 4\n", "line 2, column 3"),
             (b"# caf\xc3\xa9\xff\n7 8 5 6\n1 2\n3 4\n", "line 1, column 7"),
             (b"7 8 5 6\r\n1 2\r\n3 \xc3", "line 3, column 3"),
+            (b"7 8\f5 6\n1 \xe9\n3 4\n", "line 2, column 3"),
+            (b"# \xe2\x80\xa8 \x0b\n7 8 5 6\r1 2\r3 \xff", "line 4, column 3"),
         ],
     )
     def test_file_not_utf8(self, tmp_path, capsys, data, where):

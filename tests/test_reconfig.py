@@ -508,20 +508,20 @@ SMALL_PERMS = st.integers(1, 8).flatmap(
 
 
 @st.composite
-def random_walks(draw, universe=12):
-    """Walks over 1..universe whose steps mostly apply; some are arbitrary."""
-    start = draw(st.sets(st.integers(1, universe), max_size=6))
+def random_walks(draw, members=range(1, 13), max_size=6):
+    """Walks over `members` whose steps mostly apply; some are arbitrary."""
+    start = draw(st.sets(st.sampled_from(members), max_size=max_size))
     cur = set(start)
     removed, added = [], []
     for _ in range(draw(st.integers(0, 10))):
-        outside = sorted(set(range(1, universe + 1)) - cur)
+        outside = sorted(set(members) - cur)
         if cur and outside and draw(st.integers(0, 7)):
             remove = draw(st.sampled_from(sorted(cur)))
             add = draw(st.sampled_from(outside))
             cur = cur - {remove} | {add}
         else:
-            remove = draw(st.integers(1, universe))
-            add = draw(st.integers(1, universe))
+            remove = draw(st.sampled_from(members))
+            add = draw(st.sampled_from(members))
         removed.append(remove)
         added.append(add)
     return ReconfSequence(
@@ -617,15 +617,22 @@ class TestReplay:
             next(sets)
 
 
-def check_render(rs):
+def check_render(rs, swaps=True):
     """`_render_walk` yields `bf.render_walk`'s lines for the steps that
-    apply, then raises the replay's error at the first one that does not."""
+    apply, or with swaps=False the sets alone, then raises the replay's
+    error at the first step that does not apply."""
     sets, error = replay_outcome(bf.replay_sets(rs))
     applied = len(sets) - 1
     prefix = ReconfSequence(
         start=rs.start, removed=rs.removed[:applied], added=rs.added[:applied]
     )
-    assert replay_outcome(_render_walk(rs)) == (bf.render_walk(prefix)[1:], error)
+    expected = bf.render_walk(prefix)[1:] if swaps else list(map(bf.fmt_set, sets))
+    assert replay_outcome(_render_walk(rs, swaps)) == (expected, error)
+
+
+# Members whose labels hold one another: 1, 11 and 111 start and end the
+# longer runs of ones, 21 ends 121, 12 starts 121, and 1 ends -1.
+AFFIX_MEMBERS = (-11, -1, 1, 2, 11, 12, 21, 111, 112, 121, 211, 1111)
 
 
 class TestRenderWalk:
@@ -655,3 +662,27 @@ class TestRenderWalk:
         rs = oracle_shortest(normalize(raw), i_set, j_set, maximum_only=False)
         if rs is not None:
             check_render(data.draw(corrupted(rs)))
+
+    @UNTIMED
+    @given(random_walks(AFFIX_MEMBERS, max_size=3), st.booleans())
+    def test_labels_inside_other_labels(self, rs, swaps):
+        # Sets of 0 to 3 members, steps within and across slots, and
+        # steps that do not apply.
+        check_render(rs, swaps)
+
+    @pytest.mark.parametrize("swaps", [True, False])
+    @pytest.mark.parametrize(
+        "start, removed, added",
+        [
+            ((), (1,), (11,)),
+            ((1,), (1, 11, 1), (11, 1, 1)),
+            ((1, 11), (1, 11, 111), (111, 1, 11)),
+            ((1, 11), (11, 2), (111, 12)),
+            ((1, 11), (11, 111), (111, 1)),
+            ((-1, 1), (1, -1, 11), (11, 1, -1)),
+            ((1, 21, 121), (21, 121, 1, 11), (211, 12, 11, 2)),
+        ],
+        ids=["k0", "k1", "k2-across", "k2-absent", "k2-present", "negative", "k3"],
+    )
+    def test_small_walks(self, start, removed, added, swaps):
+        check_render(ReconfSequence(start=start, removed=removed, added=added), swaps)
