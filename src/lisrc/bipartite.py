@@ -31,8 +31,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
-from operator import gt, lt, not_
+from itertools import accumulate, compress
+from operator import lt
 from typing import Iterable
 
 from .piles import PileSystem, build_piles
@@ -219,29 +219,17 @@ def decreasing_triple(seq: Sequence) -> tuple[int, int, int] | None:
     leftmost middle position j, then the leftmost larger value before it,
     then the leftmost smaller value after it.
 
-    A permutation avoids 321 exactly when its excedance values (those
-    with perm[i] > i, 1-based) increase and its other values increase.
-    Proof:
-
-    - (<=) Two increasing subsequences cannot hold a 321: two of its
-      three values would fall in the same one.
-    - (=>) Take two non-excedances i < j with perm[i] > perm[j].  The
-      i - 1 positions before i cannot all hold values <= i, as only
-      i - 2 such values are left besides perm[i] and perm[j]; so some
-      a < i has perm[a] > i >= perm[i], and a, i, j is a 321.  Two
-      excedances out of order are the mirror case: some position after
-      j holds a value <= j, since only n - j - 2 values above j are left
-      for the n - j positions after it.
-
-    That test runs first, in C-level iterator passes, one `operator`
-    comparison per position; the scan that picks the fixed triple runs
-    only when a triple exists.
+    A permutation avoids 321 exactly when its values that are not
+    left-to-right maxima increase.  Proof: the last two values of a 321
+    follow a larger one, so they are non-maxima out of order; and when a
+    non-maximum v is followed by a smaller non-maximum, the larger value
+    before v heads a 321 with both.  That test runs first, in C-level
+    iterator passes; the scan that picks the fixed triple runs only when
+    a triple exists.
     """
     perm = seq.perm
-    above = list(map(gt, perm, range(1, len(perm) + 1)))
-    high = list(compress(perm, above))
-    low = list(compress(perm, map(not_, above)))
-    if all(map(lt, high, high[1:])) and all(map(lt, low, low[1:])):
+    rest = list(compress(perm, map(lt, perm, accumulate(perm, max))))
+    if all(map(lt, rest, rest[1:])):
         return None
     n = len(perm)
     # min_after[j] is the smallest value right of 0-based position j.

@@ -106,34 +106,25 @@ def _int_tokens(lineno: int, line: str, distinct: bool = False) -> list[int]:
     """The integers of one data line; with `distinct`, a repeat is a ParseError.
 
     A token is an optional `-` followed by ASCII digits, and tokens are
-    separated by any whitespace.  The line is read by the first of three
-    tiers that accepts it:
-
-    1. A line of `-`, ASCII digits and single spaces between tokens, as
-       `format_instance` writes, is one JSON array once its spaces become
-       commas.  JSON's integer grammar `-?(0|[1-9][0-9]*)` is a subset of
-       ours and gives the same int for each token it accepts; all it
-       rejects (leading zeros, a lone `-`, `1-2`, doubled or edge spaces,
-       over 4300 digits) raises ValueError and falls to the next tier.
-    2. On an ASCII line without `+` or `_`, `int` accepts exactly our
-       tokens, so `split` and `int` convert the whole line in one pass.
-       This keeps tab-separated and aligned files off the scanner.
-    3. Otherwise, or when a repeat must be reported, the line is scanned
-       token by token, to report the first bad token or repeat by column.
+    separated by any whitespace.  A line of `-`, ASCII digits and single
+    spaces between tokens, as `format_instance` writes, is one JSON array
+    once its spaces become commas, and the JSON decoder reads it in one C
+    call.  JSON's integer grammar `-?(0|[1-9][0-9]*)` is a subset of ours
+    and gives the same int for each token it accepts.  All it rejects
+    (leading zeros, a lone `-`, `1-2`, doubled or edge spaces, over 4300
+    digits) raises ValueError, and such a line, a line with other
+    whitespace, or a line with a repeat under `distinct` is scanned token
+    by token, to read it or report the first bad token or repeat by
+    column.
     """
-    values = None
     if _JSON_LINE.fullmatch(line):
         try:
             values = json.loads("[" + line.replace(" ", ",") + "]")
         except ValueError:
             pass
-    if values is None and line.isascii() and "+" not in line and "_" not in line:
-        try:
-            values = list(map(int, line.split()))
-        except ValueError:
-            pass
-    if values is not None and (not distinct or len(set(values)) == len(values)):
-        return values
+        else:
+            if not distinct or len(set(values)) == len(values):
+                return values
     values = []
     seen: set[int] = set()
     for match in re.finditer(r"\S+", line):

@@ -52,14 +52,11 @@ class Sequence:
 def normalize(raw: Iterable[int]) -> Sequence:
     """Build a Sequence, replacing each value by its rank in 1..n.
 
-    One sort of the distinct values serves both cases.  When they are
-    n ints from 1 to n they are their own ranks, so `perm` is `raw`
-    itself; the test asks for type int exactly, since `(1, 1.5, 3)` and
-    `(True, 2)` pass the range test but must become `(1, 2, 3)` and
-    `(1, 2)`.  Otherwise the ranks come from the same sorted list.  The
-    sort costs O(n log n) in general; CPython's set of a permutation of
-    small ints iterates in ascending order, so there the sort finds one
-    run in O(n), which speeds it but is not needed for its result.  A
+    O(n) when the values already are a permutation of 1..n: n distinct
+    ints from 1 to n are their own ranks, so `perm` is `raw` itself.  The
+    test asks for type int exactly, since `(1, 1.5, 3)` and `(True, 2)`
+    pass the range test but must become `(1, 2, 3)` and `(1, 2)`.  Other
+    input costs O(n log n) for one sort of the distinct values.  A
     repeated value raises DuplicateValue naming the smallest one.
 
     >>> normalize((7, 8, 5, 6)).perm
@@ -72,10 +69,9 @@ def normalize(raw: Iterable[int]) -> Sequence:
     distinct = set(raw)
     if len(distinct) != n:
         raise DuplicateValue(min(v for v, c in Counter(raw).items() if c > 1))
-    ordered = sorted(distinct)
-    if raw and ordered[0] == 1 and ordered[-1] == n and set(map(type, raw)) == {int}:
+    if raw and min(raw) == 1 and max(raw) == n and set(map(type, raw)) == {int}:
         return Sequence(raw=raw, perm=raw)
-    rank = dict(zip(ordered, range(1, n + 1)))
+    rank = dict(zip(sorted(distinct), range(1, n + 1)))
     return Sequence(raw=raw, perm=tuple(map(rank.__getitem__, raw)))
 
 

@@ -204,8 +204,8 @@ class TestDecreasingTriple:
     def test_avoiders_skip_the_scan(self, monkeypatch):
         # Any split into two increasing subsequences proves avoidance, so
         # a wrong split only costs time: the scan would then run and find
-        # no triple.  The excedance split must answer alone; the scan is
-        # the only caller of `min`.
+        # no triple.  The split at the left-to-right maxima must answer
+        # alone; the scan is the only caller of `min`.
         def scan(*args):
             raise AssertionError("the scan ran on a 321-avoiding permutation")
 
