@@ -2,8 +2,8 @@
 
 Decide whether one maximum increasing index set can be turned into
 another by single element swaps, produce witness sequences, compute
-provably shortest sequences when the underlying permutation graph is
-bipartite, and cross-check everything against an exhaustive oracle.
+provably shortest sequences when every patience pile holds at most two
+entries, and cross-check everything against an exhaustive oracle.
 """
 
 from .bipartite import (

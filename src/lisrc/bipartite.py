@@ -4,35 +4,44 @@ The graph on positions 1..n has an edge wherever a later position holds a
 smaller value, so independent sets coincide with feasible index sets.
 Permutation graphs are perfect, so this graph is bipartite exactly when it
 has no triangle, that is when the sequence has no decreasing triple (a 321
-pattern); `decreasing_triple` tests this in O(n).  When the graph is
-bipartite every pile has at most two entries, and a swap sequence of the
-smallest possible length |I \\ J| exists whenever any sequence exists; the
-only obstruction is a "forbidden pair" of mixed piles whose four elements
-close a 4-cycle, and the first such pair always sits on adjacent piles.
+pattern); `decreasing_triple` finds one in O(n).
 
-`shortest_sequence` builds no walk of its own: the walk that `witness`
-returns, down from I to I∧J and up to J, is already shortest here.
-Proof sketch:
+`shortest_sequence` asks less: that every pile holds at most two entries.
+A pile is a decreasing run, so bipartite graphs qualify, and so does
+`2 1 4 6 5 3`, whose piles hold two entries each beside the triple 6 5 3.
+There the walk that `witness` returns, down from I to I∧J and up to J, is
+shortest, and a "forbidden pair" certifies NO.  Proof sketch:
 
-- With piles of height at most 2, every depth is 0 or 1.
-- A clamped descent moves a pile only downward, and never below the
-  meet.  So each pile where I and J differ moves exactly once on YES,
-  and no other pile moves.
-- The length is therefore |I \\ J|.  Each swap adds at most one member
-  of J, so no walk is shorter.
+- Every depth is 0 or 1.  A clamped descent moves a pile only downward,
+  never below the meet, so on YES each pile where I and J differ moves
+  once and no other pile moves.  The length is |I \\ J|, and each swap
+  adds at most one member of J, so no walk is shorter.
+- A forbidden pair is two mixed piles whose four elements close a
+  4-cycle.  It proves NO whenever its piles hold two entries each: each
+  pile must change, and whichever changes first leaves one of the two
+  inversions in the set.
+- On NO an adjacent forbidden pair exists.  Let m = I∧J and e a clamped
+  end point other than m (`reconfig`), so e ≥ m.  Take a pile t with e
+  at depth 1, holding i_t on top, and m at depth 0, holding j_t at the
+  bottom; e cannot move down to j_t.  Say j_t is blocked on its right,
+  by the value of e_{t+1}.  Then e_{t+1} is not m's entry, because m is
+  increasing.  So pile t + 1 is mixed, e holds i_{t+1}, and
+  (j_t, i_{t+1}) is an inversion.  If (i_t, j_{t+1}) is one too,
+  (t, t + 1) is a forbidden pair.  If not, i_t < j_{t+1}, so j_{t+1}
+  fits on its left and is blocked on its right: repeat at t + 1.  This
+  stops before pile k, whose right bound n + 1 always fits.  A block on
+  the index side, by e_{t-1}, runs leftward alike to the sentinel.
 
-The forbidden pair is only the certificate of a NO answer.
-`shortest_sequence` costs O(n log n), all of it in pile dealing, and
-`two_coloring` O(n).  `build_graph` materializes the graph explicitly; it
-is quadratic and serves `lisrc graph` and the tests, not the queries.
+No step uses more than the pile heights.  `shortest_sequence` costs
+O(n log n), all of it in pile dealing, and `two_coloring` O(n).
+`build_graph` is quadratic and serves `lisrc graph` and the tests, not
+the queries.
 """
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, compress
-from operator import lt
 from typing import Iterable
 
 from .piles import PileSystem, build_piles
@@ -178,10 +187,11 @@ def find_forbidden_pair(
     so piles p < q form a 4-cycle exactly when i_p, j_q and j_p, i_q are
     both inversions.  Only mixed piles on consecutive pile ids are tested,
     yet the result is the lexicographically first pair (ascending pile id)
-    of the all-pairs scan.  Requires a bipartite graph, so that no pile
-    holds more than two entries.  Proof sketch, with x < y meaning
-    "earlier position and smaller value", I and J maximum feasible sets,
-    and i_t, j_t their elements on pile t:
+    of the all-pairs scan.  Requires every pile to hold at most two
+    entries; on NO such a pair always exists (module docstring).  Proof
+    sketch of the adjacency, with x < y meaning "earlier position and
+    smaller value", I and J maximum feasible sets, and i_t, j_t their
+    elements on pile t:
 
     * A set with one element per pile is a chain ordered by pile id.  If
       some pile r, p < r < q, were not mixed, I and J would share its
@@ -218,19 +228,8 @@ def decreasing_triple(seq: Sequence) -> tuple[int, int, int] | None:
     graph is bipartite exactly when it has none.  The choice is fixed: the
     leftmost middle position j, then the leftmost larger value before it,
     then the leftmost smaller value after it.
-
-    A permutation avoids 321 exactly when its values that are not
-    left-to-right maxima increase.  Proof: the last two values of a 321
-    follow a larger one, so they are non-maxima out of order; and when a
-    non-maximum v is followed by a smaller non-maximum, the larger value
-    before v heads a 321 with both.  That test runs first, in C-level
-    iterator passes; the scan that picks the fixed triple runs only when
-    a triple exists.
     """
     perm = seq.perm
-    rest = list(compress(perm, map(lt, perm, accumulate(perm, max))))
-    if all(map(lt, rest, rest[1:])):
-        return None
     n = len(perm)
     # min_after[j] is the smallest value right of 0-based position j.
     min_after = [n + 1] * n
@@ -293,21 +292,11 @@ def shortest_sequence(
 ) -> ReconfSequence | NoSequence | NotBipartite:
     """Shortest swap sequence between maximum feasible sets, length |I \\ J|.
 
-    Requires a bipartite permutation graph (NotBipartite, carrying a
-    decreasing triple, otherwise).  On YES the walk is `witness`'s: I's
-    descent to I∧J, then J's run backwards (`reconfig._meet_walk`).  It
-    is shortest because every pile holds at most two entries:
-
-    - every depth is 0 or 1;
-    - a clamped descent moves a pile only downward, and never below the
-      meet, so each pile where I and J differ moves exactly once on YES,
-      and no other pile moves;
-    - the length is therefore |I \\ J|, and since each swap adds at most
-      one member of J, no walk is shorter.
-
-    On NO a forbidden pair of mixed piles is the certificate
-    (NoSequence); by the module's theorem one always exists then.
-    O(n log n) overall.
+    Requires every pile to hold at most two entries.  A taller pile is a
+    decreasing triple: NotBipartite then carries `decreasing_triple`'s
+    fixed one, the only time that scan runs.  On YES the walk is
+    `witness`'s (`reconfig._meet_walk`); on NO a forbidden pair is the
+    certificate (NoSequence).  Both proofs are in the module docstring.
 
     >>> from lisrc.seqcore import normalize
     >>> walk = shortest_sequence(normalize((2, 1, 4, 3)), (1, 3), (2, 4))
@@ -316,9 +305,8 @@ def shortest_sequence(
     """
     ps = build_piles(seq)
     members_i, members_j = require_pair(seq, ps, i_set, j_set)
-    triple = decreasing_triple(seq)
-    if triple is not None:
-        return NotBipartite(odd_cycle=triple)
+    if max(map(len, ps.piles)) > 2:
+        return NotBipartite(odd_cycle=decreasing_triple(seq))
     walk = _meet_walk(seq, ps, members_i, members_j)[0]
     if walk is not None:
         return walk

@@ -434,10 +434,15 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    listing = "--dot" if args.dot else "--enumerate" if args.enumerate else ""
+    if args.dot and args.json:
+        raise LisrcError("oracle --dot prints DOT, not JSON: drop --json")
+    if listing and args.exit_status:
+        raise LisrcError(f"oracle {listing} has no YES or NO: drop --exit-status")
     seq, i_set, j_set = _load(args)
     bound = _oracle_bound(args)
     maximum_only = not args.general
-    if args.enumerate or args.dot:
+    if listing:
         size = build_piles(seq).k if maximum_only else len(i_set)
         sets = orc.enumerate_feasible(seq, size, bound)
         if args.dot:
@@ -586,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("decide", _cmd_reconfigure, "can I be reconfigured into J?", *query)
     add("witness", _cmd_reconfigure, "print one reconfiguration sequence", *query)
-    add("shortest", _cmd_shortest, "shortest sequence (bipartite graphs only)", *query)
+    add("shortest", _cmd_shortest, "shortest sequence (piles at most 2 high)", *query)
     add("piles", _cmd_piles, "print the pile structure", file_arg, json_arg)
     add("graph", _cmd_graph, "emit the permutation graph as DOT", file_arg, json_arg)
     add("check", _cmd_check, "validate an instance file", file_arg, json_arg)

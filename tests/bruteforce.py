@@ -42,7 +42,8 @@ def scan_int_tokens(lineno, line, distinct=False):
 
     A token is a maximal run of non-whitespace; it must be an optional
     `-` and then ASCII digits.  The first bad token (or, with `distinct`,
-    the first repeat) raises ParseError at its 1-based column.
+    the first repeat) raises ParseError at its 1-based column, as does a
+    token that `int` refuses for its length (over 4300 digits).
     """
     values, seen = [], set()
     start = 0
@@ -55,9 +56,12 @@ def scan_int_tokens(lineno, line, distinct=False):
             end += 1
         token = line[start:end]
         digits = token[1:] if token.startswith("-") else token
-        if not digits or any(c not in "0123456789" for c in digits):
-            raise ParseError(lineno, start + 1, f"invalid integer {token!r}")
-        value = int(token)
+        try:
+            if not digits or any(c not in "0123456789" for c in digits):
+                raise ValueError
+            value = int(token)
+        except ValueError:
+            raise ParseError(lineno, start + 1, f"invalid integer {token!r}") from None
         if distinct and value in seen:
             raise ParseError(lineno, start + 1, f"duplicate index {value}")
         seen.add(value)

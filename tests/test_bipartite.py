@@ -23,7 +23,6 @@ from lisrc import (
     two_coloring,
     witness,
 )
-import lisrc.bipartite
 from lisrc.bipartite import (
     _dyck_to_permutation,
     _rotate_to_dyck,
@@ -200,20 +199,6 @@ class TestDecreasingTriple:
             for raw in itertools.permutations(range(1, n + 1)):
                 expected = bf.first_decreasing_triple(raw)
                 assert decreasing_triple(normalize(raw)) == expected
-
-    def test_avoiders_skip_the_scan(self, monkeypatch):
-        # Any split into two increasing subsequences proves avoidance, so
-        # a wrong split only costs time: the scan would then run and find
-        # no triple.  The split at the left-to-right maxima must answer
-        # alone; the scan is the only caller of `min`.
-        def scan(*args):
-            raise AssertionError("the scan ran on a 321-avoiding permutation")
-
-        monkeypatch.setattr(lisrc.bipartite, "min", scan, raising=False)
-        rng = random.Random(9)
-        for n in range(40):
-            for _ in range(25):
-                assert decreasing_triple(normalize(random_321_avoiding(n, rng))) is None
 
 
 class TestMixedPiles:
@@ -403,6 +388,80 @@ class TestShortestSequence:
             assert sets[0] == i_set and sets[-1] == j_set
             for s in sets:
                 assert bf.is_maximum_feasible(raw, s)
+
+
+def tallest_level(raw):
+    """Most positions on one chain level, which is the tallest pile's height."""
+    return max(Counter(bf.chain_levels(raw)[1:]).values(), default=0)
+
+
+def short_pile_permutations(n):
+    """Permutations of 1..n whose piles hold at most two entries but that
+    still hold a decreasing triple."""
+    for raw in itertools.permutations(range(1, n + 1)):
+        if tallest_level(raw) <= 2 and next(bf.decreasing_triples(raw), None):
+            yield raw
+
+
+class TestShortPiles:
+    """`shortest` on piles of at most two entries, 321-avoiding or not."""
+
+    def test_gate_is_a_pile_of_three(self):
+        # Every permutation of n <= 7: NotBipartite exactly when some chain
+        # level holds three positions, carrying the fixed triple.
+        for n in range(1, 8):
+            for raw in itertools.permutations(range(1, n + 1)):
+                some_max = bf.max_feasible_sets(raw)[0]
+                result = shortest_sequence(normalize(raw), some_max, some_max)
+                if tallest_level(raw) > 2:
+                    assert result == NotBipartite(bf.first_decreasing_triple(raw))
+                else:
+                    assert isinstance(result, ReconfSequence) and len(result) == 0
+
+    def test_lengths_match_bfs_exhaustively(self):
+        # Every such permutation of n <= 7 and every ordered pair of maximum
+        # sets: a walk of length |I \ J| equal to the BFS distance, ending
+        # at J, and NoSequence exactly when the sets are disconnected.
+        for n in range(1, 8):
+            permutations = pairs = 0
+            for raw in short_pile_permutations(n):
+                seq = normalize(raw)
+                maxima = bf.max_feasible_sets(raw)
+                for i_set, j_set in itertools.product(maxima, repeat=2):
+                    result = shortest_sequence(seq, i_set, j_set)
+                    dist = bf.swap_distance(maxima, i_set, j_set)
+                    if isinstance(result, NoSequence):
+                        assert dist is None
+                    else:
+                        assert len(result) == len(set(i_set) - set(j_set)) == dist
+                        assert result.end() == j_set
+                    pairs += 1
+                permutations += 1
+        assert (permutations, pairs) == (532, 2_208)
+
+    def test_forbidden_pair_matches_all_pairs_reference(self):
+        # Every such permutation of n = 8 and every ordered pair of maximum
+        # sets: the forbidden pair is the all-pairs reference's first one,
+        # and a walk comes back exactly when there is none.
+        checked = 0
+        for raw in short_pile_permutations(8):
+            seq = normalize(raw)
+            ps = build_piles(seq)
+            first_pair = bf.forbidden_pair_scan(raw)
+            maxima = bf.max_feasible_sets(raw)
+            for i_set, j_set in itertools.product(maxima, repeat=2):
+                expected = first_pair(i_set, j_set)
+                result = shortest_sequence(seq, i_set, j_set)
+                checked += 1
+                if expected is None:
+                    assert isinstance(result, ReconfSequence)
+                    _check_replay(seq, ps, first_pair, result, i_set, j_set)
+                    continue
+                assert isinstance(result, NoSequence)
+                assert expected == tuple(
+                    (m.pile, m.i_elem, m.j_elem) for m in result.forbidden
+                )
+        assert checked == 19_152
 
 
 def _check_replay(seq, ps, first_pair, result, i_set, j_set):

@@ -51,6 +51,7 @@ LISRC_ENV = {
 K22_FILE = str(DATA / "k22.txt")
 DETOUR_FILE = str(DATA / "detour.txt")
 BIP_FILE = str(DATA / "bip.txt")
+SHORT_PILES_FILE = str(DATA / "short_piles.txt")
 
 
 class TestParseInstance:
@@ -135,13 +136,14 @@ class TestParseInstance:
 
     def test_token_too_long_for_int_on_a_json_line(self):
         # The decoder refuses the 4301-digit token as `int` does, and the
-        # scanner reports it.
+        # scanner reports it, as the reference does.
         token = "1" * 4301
         for line in (f"7 {token} 6", f"7\t{token}\t6"):
-            with pytest.raises(ParseError) as info:
-                _int_tokens(2, line)
-            assert (info.value.line, info.value.column) == (2, 3)
-            assert str(info.value) == f"line 2, column 3: invalid integer {token!r}"
+            for tokenize in (_int_tokens, bf.scan_int_tokens):
+                with pytest.raises(ParseError) as info:
+                    tokenize(2, line)
+                assert (info.value.line, info.value.column) == (2, 3)
+                assert str(info.value) == f"line 2, column 3: invalid integer {token!r}"
 
     def test_long_line(self):
         rng = random.Random(10)
@@ -436,6 +438,21 @@ class TestRun:
         assert run(["shortest", DETOUR_FILE]) == 2
         err = capsys.readouterr().err
         assert "not bipartite" in err and "odd cycle 1 4 6" in err
+
+    def test_shortest_on_short_piles_with_a_triangle(self, capsys):
+        # Piles of two entries each, though 6 5 3 is a decreasing triple:
+        # the walk has |I \ J| = 2 swaps, the oracle's distance.
+        assert run(["shortest", SHORT_PILES_FILE]) == 0
+        assert capsys.readouterr().out == (
+            "YES\nlength 2\n{1,3,4}\nswap 4 -> 5: {1,3,5}\nswap 1 -> 2: {2,3,5}\n"
+        )
+        assert run(["shortest", "--json", SHORT_PILES_FILE]) == 0
+        assert capsys.readouterr().out == (
+            '{"answer": "yes", "steps": [{"remove": 4, "add": 5}, '
+            '{"remove": 1, "add": 2}], "length": 2}\n'
+        )
+        assert run(["oracle", "--shortest", SHORT_PILES_FILE]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "2"
 
     def test_piles_output(self, capsys):
         assert run(["piles", K22_FILE]) == 0
@@ -740,6 +757,27 @@ class TestFlagMatrix:
         assert capsys.readouterr().out == out
         # k22 is a NO instance.
         assert status == (1 if flag[0] == "--exit-status" else plain_status)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dot", "--json"], "oracle --dot prints DOT, not JSON: drop --json"),
+            (
+                ["--enumerate", "--exit-status"],
+                "oracle --enumerate has no YES or NO: drop --exit-status",
+            ),
+            (
+                ["--dot", "--exit-status"],
+                "oracle --dot has no YES or NO: drop --exit-status",
+            ),
+        ],
+        ids=["--dot --json", "--enumerate --exit-status", "--dot --exit-status"],
+    )
+    def test_oracle_listing_rejects_unread_flag(self, capsys, flags, message):
+        # The parser accepts each flag alone; the listing modes cannot read
+        # these, so the pair is an error rather than silently ignored.
+        assert run(["oracle", *flags, K22_FILE]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestParserReuse:
