@@ -34,8 +34,8 @@ shortest, and a "forbidden pair" certifies NO.  Proof sketch:
 
 No step uses more than the pile heights.  `shortest_sequence` costs
 O(n log n), all of it in pile dealing, and `two_coloring` O(n).
-`build_graph` is quadratic and serves `lisrc graph` and the tests, not
-the queries.
+`build_graph` costs O(n + m) for m edges and serves `lisrc graph` and
+the tests, not the queries.
 """
 from __future__ import annotations
 
@@ -105,21 +105,39 @@ class NotBipartite:
 
 
 def build_graph(seq: Sequence) -> PermutationGraph:
-    """Graph with an edge {i, j} for every inversion i < j, a_i > a_j.
+    """Graph with an edge {i, j} for every inversion i < j, a_i > a_j: O(n + m).
 
-    Quadratic in n; adjacency is explicit, so this is meant for the
-    moderate sizes the graph-based routines operate on.
+    Positions are visited left to right over a linked list of the values
+    not yet visited, in ascending order.  At position i with value v the
+    list holds exactly the values of positions after i, so the ones ahead
+    of v are the smaller values after i, one per edge: the walk to v costs
+    O(1) per edge, and v then leaves the list.  Each vertex records its
+    earlier neighbours as they are found, in ascending order, and its
+    later ones are read off those lists in ascending order of position.
+
+    >>> from lisrc.seqcore import normalize
+    >>> build_graph(normalize((7, 8, 5, 6))).edges()
+    [(1, 3), (1, 4), (2, 3), (2, 4)]
     """
     n = seq.n
-    adjacency: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        vi = seq.value(i)
-        for j in range(i + 1, n + 1):
-            if vi > seq.value(j):
-                adjacency[i].append(j)
-                adjacency[j].append(i)
+    position = [0] * (n + 1)
+    for i, v in enumerate(seq.perm, start=1):
+        position[v] = i
+    earlier: list[list[int]] = [[] for _ in range(n + 1)]
+    # nxt[v] follows v in the list; nxt[0] is its head and n + 1 its end.
+    nxt = list(range(1, n + 2))
+    for i, v in enumerate(seq.perm, start=1):
+        before, u = 0, nxt[0]
+        while u != v:
+            earlier[position[u]].append(i)
+            before, u = u, nxt[u]
+        nxt[before] = nxt[v]
+    later: list[list[int]] = [[] for _ in range(n + 1)]
+    for j in range(1, n + 1):
+        for i in earlier[j]:
+            later[i].append(j)
     return PermutationGraph(
-        n=n, adjacency=tuple(tuple(sorted(a)) for a in adjacency)
+        n=n, adjacency=tuple(tuple(e + l) for e, l in zip(earlier, later))
     )
 
 

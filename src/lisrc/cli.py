@@ -54,10 +54,29 @@ _JSON_LINE = re.compile(r"[0-9 -]*")
 def parse_instance(
     text: str, require_sets: bool = True
 ) -> tuple[Sequence, FeasibleSet | None, FeasibleSet | None]:
-    """Parse and validate an instance; see the module docstring for the format.
+    """Read and validate an instance; see the module docstring for the format.
 
-    With require_sets=False a lone sequence line is accepted and the two
-    set slots come back as None.
+    `read_instance`, then `require_feasible` on each set, so each set is
+    validated once: the CLI's query subcommands call `read_instance`
+    alone and leave the check to the query.  With require_sets=False a
+    lone sequence line is accepted and the two set slots come back as
+    None.
+    """
+    seq, i_set, j_set = read_instance(text, require_sets)
+    if i_set is None:
+        return seq, None, None
+    return seq, require_feasible(seq, i_set), require_feasible(seq, j_set)
+
+
+def read_instance(
+    text: str, require_sets: bool = True
+) -> tuple[Sequence, list[int] | None, list[int] | None]:
+    """The sequence and the two index sets as read, not yet validated.
+
+    Checks the syntax only: the data lines, their integer tokens, the
+    sequence's distinct values (`normalize`) and each set's distinct
+    indices, so both set lines are read before either set is checked.
+    The sets come back as the lists of their tokens, in file order.
     """
     lines = _lines(text)
     data_lines: list[tuple[int, str]] = []
@@ -81,10 +100,7 @@ def parse_instance(
     seq = normalize(_int_tokens(*data_lines[0]))
     if len(data_lines) == 1:
         return seq, None, None
-    i_set, j_set = (
-        require_feasible(seq, _int_tokens(*line, distinct=True))
-        for line in data_lines[1:]
-    )
+    i_set, j_set = (_int_tokens(*line, distinct=True) for line in data_lines[1:])
     return seq, i_set, j_set
 
 
@@ -329,8 +345,13 @@ def _yesno_status(args, yes: bool) -> int:
     return 0
 
 
-def _load(args, require_sets: bool = True):
-    return parse_instance(_read_utf8(args.instance), require_sets=require_sets)
+def _load(args, read=parse_instance, require_sets: bool = True):
+    """The instance file through `read`.
+
+    `parse_instance` validates the sets; the queries pass `read_instance`,
+    because each validates the sets it is given (`require_pair`).
+    """
+    return read(_read_utf8(args.instance), require_sets=require_sets)
 
 
 def _read_utf8(path: str) -> str:
@@ -356,7 +377,7 @@ def _read_utf8(path: str) -> str:
 
 def _cmd_reconfigure(args) -> int:
     """`decide` and `witness`: one Answer, its walk shown by `witness` only."""
-    seq, i_set, j_set = _load(args)
+    seq, i_set, j_set = _load(args, read_instance)
     answer = reconfigure(seq, i_set, j_set)
     yes = answer.walk is not None
     payload: dict = {"answer": "yes" if yes else "no"}
@@ -376,7 +397,7 @@ def _cmd_reconfigure(args) -> int:
 
 
 def _cmd_shortest(args) -> int:
-    seq, i_set, j_set = _load(args)
+    seq, i_set, j_set = _load(args, read_instance)
     result = bp.shortest_sequence(seq, i_set, j_set)
     if isinstance(result, bp.NotBipartite):
         cycle = " ".join(str(v) for v in result.odd_cycle)
@@ -439,7 +460,8 @@ def _cmd_oracle(args) -> int:
         raise LisrcError("oracle --dot prints DOT, not JSON: drop --json")
     if listing and args.exit_status:
         raise LisrcError(f"oracle {listing} has no YES or NO: drop --exit-status")
-    seq, i_set, j_set = _load(args)
+    # The listings use the sets themselves; the queries validate them.
+    seq, i_set, j_set = _load(args, parse_instance if listing else read_instance)
     bound = _oracle_bound(args)
     maximum_only = not args.general
     if listing:

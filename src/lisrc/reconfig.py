@@ -158,7 +158,9 @@ def require_pair(
 
     Both must be feasible (IndexOutOfRange, Infeasible), of equal size
     (SizeMismatch), and, unless `ps` is None, maximum (NotMaximum).  Each
-    set goes through `require_feasible` once.
+    set goes through `require_feasible` once, and this is the only check
+    of a request's sets: the CLI's query subcommands pass them as read
+    (`cli.read_instance`).
     """
     members_i = require_feasible(seq, i_set)
     members_j = require_feasible(seq, j_set)

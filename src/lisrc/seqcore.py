@@ -9,7 +9,9 @@ construction prepends; it never appears in user-facing sets.
 `require_feasible` is the only validation of a caller's index set; every
 entry point of the package runs it once per set it is given (directly,
 as `reconfig.minimal_set` does, or through `reconfig.require_pair`)
-before touching the set.  The longest increasing subsequence length is
+before touching the set, so each set is validated once per request: the
+CLI's query subcommands pass the sets as read and leave the check to the
+query.  The longest increasing subsequence length is
 `piles.build_piles(seq).k`.
 """
 from __future__ import annotations

@@ -64,10 +64,25 @@ class TestBuildGraph:
 
     def test_edges_are_inversions(self):
         rng = random.Random(3)
-        for _ in range(60):
-            raw = bf.random_perm(rng, rng.randint(0, 12))
+        samples = [bf.random_perm(rng, rng.randint(0, 12)) for _ in range(60)]
+        every = (p for n in range(8) for p in itertools.permutations(range(1, n + 1)))
+        for raw in itertools.chain(samples, every):
             g = build_graph(normalize(raw))
-            assert set(g.edges()) == bf.inversion_edges(raw)
+            edges = bf.inversion_edges(raw)
+            assert set(g.edges()) == edges
+            # Sorted adjacency, as `has_edge` bisects it.
+            assert g.adjacency == tuple(
+                tuple(sorted({i + j - v for i, j in edges if v in (i, j)}))
+                for v in range(len(raw) + 1)
+            )
+
+    def test_edgeless_at_scale(self):
+        # Each position walks past no smaller later value: O(n), not O(n^2).
+        seq = normalize(range(1, 20_001))
+        start = time.perf_counter()
+        g = build_graph(seq)
+        assert time.perf_counter() - start < 1.0
+        assert g.edges() == [] and len(g.adjacency) == 20_001
 
     def test_independent_sets_are_feasible_sets(self):
         rng = random.Random(9)

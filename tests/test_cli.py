@@ -365,23 +365,110 @@ class TestRun:
         monkeypatch.setattr(lisrc.reconfig, "require_feasible", counting)
         return calls
 
-    @pytest.mark.parametrize("path", [BIP_FILE, K22_FILE], ids=["yes", "no"])
-    def test_shortest_validates_each_set_twice(self, path, capsys, validations):
-        # Once while parsing, once in `require_pair`.  Only on NO does
-        # `shortest` map the validated sets to mixed piles, and it does not
-        # validate them again.
-        assert run(["shortest", path]) == 0
+    @pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("answer", ["yes", "no"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["decide"],
+            ["witness"],
+            ["shortest"],
+            ["oracle"],
+            ["oracle", "--general"],
+            ["oracle", "--shortest"],
+            ["oracle", "--shortest", "--general"],
+        ],
+        ids=" ".join,
+    )
+    def test_query_validates_each_set_once(
+        self, command, answer, output, capsys, validations
+    ):
+        # The CLI reads the sets and the query's `require_pair` checks them.
+        # Reading the representatives under --json descends from end points
+        # the query computed itself, and `shortest` maps the checked sets to
+        # mixed piles on NO: neither validates anything again.
+        yes_file = BIP_FILE if command == ["shortest"] else DETOUR_FILE
+        path = yes_file if answer == "yes" else K22_FILE
+        status = run([*command, *output, "--exit-status", path])
         capsys.readouterr()
-        assert len(validations) == 4
+        assert status == (0 if answer == "yes" else 1)
+        assert len(validations) == 2
 
-    @pytest.mark.parametrize("command", ["decide", "witness"])
-    @pytest.mark.parametrize("path", [DETOUR_FILE, K22_FILE], ids=["yes", "no"])
-    def test_json_validates_each_set_twice(self, command, path, capsys, validations):
-        # The representatives descend from end points the query computed
-        # itself, so reading them validates nothing again.
-        assert run([command, "--json", path]) == 0
-        assert "minimal_I" in json.loads(capsys.readouterr().out)
-        assert len(validations) == 4
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check"],
+            ["oracle", "--enumerate"],
+            ["oracle", "--enumerate", "--general"],
+            ["oracle", "--dot"],
+        ],
+        ids=" ".join,
+    )
+    @pytest.mark.parametrize("path", [DETOUR_FILE, K22_FILE], ids=["detour", "k22"])
+    def test_listing_validates_each_set_once(self, command, path, capsys, validations):
+        # These use the sets as parsed, so `parse_instance` checks them.
+        assert run([*command, path]) == 0
+        capsys.readouterr()
+        assert len(validations) == 2
+
+    @pytest.mark.parametrize("i_line", ["1 3", "9 1"], ids=["infeasible", "out-of-range"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["decide"],
+            ["witness"],
+            ["shortest"],
+            ["check"],
+            ["piles"],
+            ["graph"],
+            ["oracle"],
+            ["oracle", "--shortest"],
+            ["oracle", "--enumerate"],
+            ["oracle", "--dot"],
+        ],
+        ids=" ".join,
+    )
+    def test_syntax_error_in_j_comes_before_a_bad_i(
+        self, command, i_line, tmp_path, capsys
+    ):
+        # Both set lines are read before either set is validated.
+        path = tmp_path / "bad.txt"
+        path.write_text(f"7 8 5 6\n{i_line}\n3 x\n")
+        assert run([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3, column 3: invalid integer 'x'\n"
+
+    @pytest.mark.parametrize(
+        "mode, sets_first",
+        [
+            pytest.param([], False, id="decide"),
+            pytest.param(["--general"], False, id="--general"),
+            pytest.param(["--shortest"], False, id="--shortest"),
+            pytest.param(["--shortest", "--general"], False, id="--shortest --general"),
+            pytest.param(["--enumerate"], True, id="--enumerate"),
+        ],
+    )
+    def test_oracle_query_checks_the_bound_before_the_sets(
+        self, mode, sets_first, tmp_path, capsys, monkeypatch
+    ):
+        # The queries keep `oracle_shortest`'s own order: the bound, then
+        # the sets.  The listings validate the sets while parsing.
+        path = tmp_path / "bad.txt"
+        path.write_text("7 8 5 6\n1 3\n3 4\n")
+        infeasible = (
+            "error: index set not increasing: positions 1 < 3 but values 7 > 5\n"
+        )
+        too_large = (
+            "error: sequence length 4 exceeds exhaustive bound 3 "
+            "(raise the bound to override)\n"
+        )
+        bad_bound = "error: LISRC_ORACLE_BOUND must be an integer, got 'x'\n"
+        assert run(["oracle", *mode, "--max-oracle-n", "3", str(path)]) == 2
+        assert capsys.readouterr().err == (infeasible if sets_first else too_large)
+        monkeypatch.setenv("LISRC_ORACLE_BOUND", "x")
+        assert run(["oracle", *mode, str(path)]) == 2
+        assert capsys.readouterr().err == (infeasible if sets_first else bad_bound)
 
     @pytest.mark.parametrize(
         "path, continuations", [(DETOUR_FILE, 1), (K22_FILE, 2)], ids=["yes", "no"]
@@ -933,23 +1020,42 @@ class TestWalkText:
         assert run(["oracle", "--shortest", *flags, files[name]]) == 0
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
-    def test_walk_at_workload_scale(self, tmp_path, capsys):
-        # A 20-pile staircase of height 500, I the top row and J a random
-        # maximum set near mid-height: a walk of thousands of swaps.
+    @pytest.mark.parametrize("crossing", [False, True], ids=["top-row", "crossing"])
+    def test_walk_at_workload_scale(self, crossing, tmp_path, capsys, monkeypatch):
+        # A 20-pile staircase of height 500 and J a random maximum set near
+        # mid-height.  With I the top row, J lies below I on every pile and
+        # only I's clamped half moves: a walk of thousands of swaps.  With
+        # I's depths those of J in reverse order, I is near mid-height too
+        # and each lies above the other on some pile (J's end piles are at
+        # different depths), so both clamped halves move.
         raw, grid = bf.staircase(20, 500)
         rng = random.Random(20)
         depth = rng.randrange(230, 270)
-        depths = []
+        j_depths = []
         for _ in grid:
-            depths.append(depth)
+            j_depths.append(depth)
             depth += rng.choice((-1, 0, 1))
-        i_set = tuple(row[-1] for row in grid)
-        j_set = tuple(row[d] for row, d in zip(grid, depths))
+        i_depths = j_depths[::-1] if crossing else [len(row) - 1 for row in grid]
+        pairs = list(zip(i_depths, j_depths))
+        assert any(i > j for i, j in pairs)
+        assert any(i < j for i, j in pairs) == crossing
+        i_set = tuple(row[d] for row, d in zip(grid, i_depths))
+        j_set = tuple(row[d] for row, d in zip(grid, j_depths))
         seq = normalize(raw)
         path = tmp_path / "stairs.txt"
         path.write_text(format_instance(seq, i_set, j_set))
+        moves = []
+        descend = lisrc.reconfig._descend
+
+        def counting(*args):
+            removed, added = descend(*args)
+            moves.append(len(removed))
+            return removed, added
+
+        monkeypatch.setattr(lisrc.reconfig, "_descend", counting)
         rs = witness(seq, i_set, j_set)
-        assert len(rs) > 2000
+        assert moves[0] > 0 and (moves[1] > 0) == crossing
+        assert len(rs) > (20 if crossing else 2000)
         assert run(["witness", str(path)]) == 0
         out = capsys.readouterr().out
         assert out == "\n".join(["YES", *bf.render_walk(rs)]) + "\n"
