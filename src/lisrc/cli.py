@@ -39,7 +39,6 @@ from .seqcore import FeasibleSet, Sequence, normalize, require_feasible
 # importable from here although nothing in this module calls it.
 from .reconfig import minimal_set  # noqa: F401
 
-ORACLE_BOUND_ENV = "LISRC_ORACLE_BOUND"
 # Text lines per write.  A walk line holds a whole set, so one batch is
 # O(k) text, far below the O(k) per step of a long walk's whole output.
 EMIT_BATCH_LINES = 16
@@ -166,7 +165,7 @@ def _strict_int(text: str) -> int:
 
     Anything else raises ValueError, where `int` alone would also read
     `+`, `_`, surrounding whitespace and non-ASCII digits.  Instance
-    tokens, the numeric flags and LISRC_ORACLE_BOUND all follow this rule.
+    tokens and the numeric flags both follow this rule.
     """
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"invalid integer {text!r}")
@@ -209,19 +208,16 @@ def random_max_set(seq: Sequence, ps: PileSystem, rng: random.Random) -> Feasibl
     return tuple(sorted(chain))
 
 
-def generate(
-    n: int,
-    seed: int,
-    bipartite: bool = False,
-    bound: int = orc.DEFAULT_BOUND,
-) -> str:
+def generate(n: int, seed: int, bipartite: bool = False) -> str:
     """A reproducible random instance: permutation of 1..n plus two maximum sets.
 
-    I is the canonical blocker chain; J is drawn uniformly from all
-    maximum feasible sets when n is within the exhaustive bound, else by
-    a random backward chain.  The permutation is uniform over all of
-    1..n, or with bipartite=True uniform over those whose permutation
-    graph is bipartite (the 321-avoiding ones), for any n.
+    I is the canonical blocker chain.  J is drawn uniformly from all
+    maximum feasible sets when n is at most the oracle's default bound
+    (`DEFAULT_BOUND`, 16), else by a random backward chain.  The
+    permutation is uniform over all of 1..n, or with bipartite=True
+    uniform over those whose permutation graph is bipartite (the
+    321-avoiding ones), for any n.  The output depends on the arguments
+    alone.
     """
     rng = random.Random(seed)
     if bipartite:
@@ -232,8 +228,8 @@ def generate(
     seq = normalize(values)
     ps = build_piles(seq)
     i_set = extract_canonical_max(ps)
-    if n <= bound:
-        j_set = rng.choice(orc.enumerate_feasible(seq, ps.k, bound))
+    if n <= orc.DEFAULT_BOUND:
+        j_set = rng.choice(orc.enumerate_feasible(seq, ps.k))
     else:
         j_set = random_max_set(seq, ps, rng)
     tag = f"n={n} seed={seed}" + (" bipartite" if bipartite else "")
@@ -345,15 +341,6 @@ def _yesno_status(args, yes: bool) -> int:
     return 0
 
 
-def _load(args, read=parse_instance, require_sets: bool = True):
-    """The instance file through `read`.
-
-    `parse_instance` validates the sets; the queries pass `read_instance`,
-    because each validates the sets it is given (`require_pair`).
-    """
-    return read(_read_utf8(args.instance), require_sets=require_sets)
-
-
 def _read_utf8(path: str) -> str:
     """The file's text; bytes that are not UTF-8 raise a ParseError.
 
@@ -377,7 +364,7 @@ def _read_utf8(path: str) -> str:
 
 def _cmd_reconfigure(args) -> int:
     """`decide` and `witness`: one Answer, its walk shown by `witness` only."""
-    seq, i_set, j_set = _load(args, read_instance)
+    seq, i_set, j_set = read_instance(_read_utf8(args.instance))
     answer = reconfigure(seq, i_set, j_set)
     yes = answer.walk is not None
     payload: dict = {"answer": "yes" if yes else "no"}
@@ -397,7 +384,7 @@ def _cmd_reconfigure(args) -> int:
 
 
 def _cmd_shortest(args) -> int:
-    seq, i_set, j_set = _load(args, read_instance)
+    seq, i_set, j_set = read_instance(_read_utf8(args.instance))
     result = bp.shortest_sequence(seq, i_set, j_set)
     if isinstance(result, bp.NotBipartite):
         cycle = " ".join(str(v) for v in result.odd_cycle)
@@ -432,7 +419,7 @@ def _cmd_shortest(args) -> int:
 
 
 def _cmd_piles(args) -> int:
-    seq, _, _ = _load(args, require_sets=False)
+    seq, _, _ = parse_instance(_read_utf8(args.instance), require_sets=False)
     ps = build_piles(seq)
     text = []
     piles_json = []
@@ -445,7 +432,7 @@ def _cmd_piles(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    seq, _, _ = _load(args, require_sets=False)
+    seq, _, _ = parse_instance(_read_utf8(args.instance), require_sets=False)
     g = bp.build_graph(seq)
     if args.json:
         print(json.dumps({"n": g.n, "edges": [list(e) for e in sorted(g.edges())]}))
@@ -461,8 +448,9 @@ def _cmd_oracle(args) -> int:
     if listing and args.exit_status:
         raise LisrcError(f"oracle {listing} has no YES or NO: drop --exit-status")
     # The listings use the sets themselves; the queries validate them.
-    seq, i_set, j_set = _load(args, parse_instance if listing else read_instance)
-    bound = _oracle_bound(args)
+    read = parse_instance if listing else read_instance
+    seq, i_set, j_set = read(_read_utf8(args.instance))
+    bound = args.max_oracle_n
     maximum_only = not args.general
     if listing:
         size = build_piles(seq).k if maximum_only else len(i_set)
@@ -492,7 +480,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    text = generate(args.n, args.seed, args.bipartite, _oracle_bound(args))
+    text = generate(args.n, args.seed, args.bipartite)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -502,7 +490,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    seq, i_set, j_set = _load(args)
+    seq, i_set, j_set = parse_instance(_read_utf8(args.instance))
     k = build_piles(seq).k
     # parse_instance has checked both sets are feasible.
     i_max = len(i_set) == k
@@ -526,23 +514,6 @@ def _cmd_check(args) -> int:
         ],
     )
     return 0
-
-
-def _oracle_bound(args) -> int:
-    if args.max_oracle_n is not None:
-        return args.max_oracle_n
-    env = os.environ.get(ORACLE_BOUND_ENV)
-    if env is None:
-        return orc.DEFAULT_BOUND
-    try:
-        bound = _strict_int(env)
-    except ValueError:
-        raise LisrcError(
-            f"{ORACLE_BOUND_ENV} must be an integer, got {env!r}"
-        ) from None
-    if bound < 0:
-        raise LisrcError(f"{ORACLE_BOUND_ENV} must be >= 0, got {bound}")
-    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     """
     # Each flag goes only to the subcommands that read it; elsewhere it
     # is a usage error, not silently ignored.
-    file_arg, json_arg, status_arg, bound_arg = (
-        argparse.ArgumentParser(add_help=False) for _ in range(4)
+    file_arg, json_arg, status_arg = (
+        argparse.ArgumentParser(add_help=False) for _ in range(3)
     )
     file_arg.add_argument("instance", help="instance file")
     json_arg.add_argument("--json", action="store_true", help="machine-readable output")
@@ -590,13 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--exit-status",
         action="store_true",
         help="exit 0 for YES, 1 for NO (errors stay 2)",
-    )
-    bound_arg.add_argument(
-        "--max-oracle-n",
-        type=_nonnegative_int,
-        metavar="N",
-        help=f"exhaustive-search size bound (default {orc.DEFAULT_BOUND}; "
-        f"env {ORACLE_BOUND_ENV})",
     )
     query = (file_arg, json_arg, status_arg)
 
@@ -619,7 +583,14 @@ def build_parser() -> argparse.ArgumentParser:
     add("check", _cmd_check, "validate an instance file", file_arg, json_arg)
 
     oracle_help = "brute-force reference answers (default: connectivity)"
-    p_oracle = add("oracle", _cmd_oracle, oracle_help, *query, bound_arg)
+    p_oracle = add("oracle", _cmd_oracle, oracle_help, *query)
+    p_oracle.add_argument(
+        "--max-oracle-n",
+        type=_nonnegative_int,
+        default=orc.DEFAULT_BOUND,
+        metavar="N",
+        help=f"largest n to search exhaustively (default {orc.DEFAULT_BOUND})",
+    )
     mode = p_oracle.add_mutually_exclusive_group()
     mode.add_argument("--shortest", action="store_true", help="BFS shortest sequence")
     mode.add_argument("--enumerate", action="store_true", help="list feasible sets")
@@ -630,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="allow non-maximum feasible sets of equal size",
     )
 
-    p_gen = add("gen", _cmd_gen, "generate a random instance", bound_arg)
+    p_gen = add("gen", _cmd_gen, "generate a random instance")
     p_gen.add_argument("-n", type=_positive_int, required=True, help="sequence length")
     p_gen.add_argument("--seed", type=_int_flag, default=0, help="RNG seed (default 0)")
     p_gen.add_argument(

@@ -202,7 +202,7 @@ def _lowest_depth(
     left_index: int,
     right_value: int,
     d: int,
-    floor: int = 0,
+    floor: int,
 ) -> int:
     """Lowest depth in [floor, d) that the member at depth `d` can move to, else `d`.
 

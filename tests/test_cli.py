@@ -297,9 +297,21 @@ class TestGenerate:
         )
 
     def test_large_n_uses_chain_sampling(self):
-        seq, i_set, j_set = parse_instance(generate(40, seed=3, bound=16))
+        seq, i_set, j_set = parse_instance(generate(40, seed=3))
         assert bf.is_maximum_feasible(seq.raw, i_set)
         assert bf.is_maximum_feasible(seq.raw, j_set)
+
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_environment_does_not_change_output(self, capsys, monkeypatch, seed):
+        # A seeded instance depends on its flags alone.  Both seeds draw a
+        # different J with an exhaustive bound of 5, so reading the bound
+        # from the environment would show here.
+        argv = ["gen", "-n", "12", "--seed", str(seed)]
+        assert run(argv) == 0
+        plain = capsys.readouterr()
+        monkeypatch.setenv("LISRC_ORACLE_BOUND", "5")
+        assert run(argv) == 0
+        assert capsys.readouterr() == plain
 
 
 class TestRun:
@@ -450,7 +462,7 @@ class TestRun:
         ],
     )
     def test_oracle_query_checks_the_bound_before_the_sets(
-        self, mode, sets_first, tmp_path, capsys, monkeypatch
+        self, mode, sets_first, tmp_path, capsys
     ):
         # The queries keep `oracle_shortest`'s own order: the bound, then
         # the sets.  The listings validate the sets while parsing.
@@ -463,12 +475,8 @@ class TestRun:
             "error: sequence length 4 exceeds exhaustive bound 3 "
             "(raise the bound to override)\n"
         )
-        bad_bound = "error: LISRC_ORACLE_BOUND must be an integer, got 'x'\n"
         assert run(["oracle", *mode, "--max-oracle-n", "3", str(path)]) == 2
         assert capsys.readouterr().err == (infeasible if sets_first else too_large)
-        monkeypatch.setenv("LISRC_ORACLE_BOUND", "x")
-        assert run(["oracle", *mode, str(path)]) == 2
-        assert capsys.readouterr().err == (infeasible if sets_first else bad_bound)
 
     @pytest.mark.parametrize(
         "path, continuations", [(DETOUR_FILE, 1), (K22_FILE, 2)], ids=["yes", "no"]
@@ -729,56 +737,51 @@ class TestRun:
         values = " ".join(str(v) for v in range(1, 18))
         full = " ".join(str(i) for i in range(1, 18))
         path.write_text(f"{values}\n{full}\n{full}\n")
-        monkeypatch.setenv("LISRC_ORACLE_BOUND", "4")
+        too_large = (
+            "error: sequence length 17 exceeds exhaustive bound 16 "
+            "(raise the bound to override)\n"
+        )
         assert run(["oracle", str(path)]) == 2
-        assert "exceeds" in capsys.readouterr().err
-        # The flag wins over the environment.
+        assert capsys.readouterr() == ("", too_large)
+        # Only the flag sets the bound; the environment does not.
+        monkeypatch.setenv("LISRC_ORACLE_BOUND", "20")
+        assert run(["oracle", str(path)]) == 2
+        assert capsys.readouterr() == ("", too_large)
         assert run(["oracle", "--max-oracle-n", "20", str(path)]) == 0
         assert capsys.readouterr().out == "YES\n"
-        monkeypatch.delenv("LISRC_ORACLE_BOUND")
-        assert run(["oracle", str(path)]) == 2
 
     def test_negative_oracle_bound_flag(self, capsys):
-        assert run(["gen", "-n", "12", "--seed", "1", "--max-oracle-n", "-5"]) == 2
-        assert "--max-oracle-n: must be >= 0" in capsys.readouterr().err
         assert run(["oracle", "--max-oracle-n", "-5", K22_FILE]) == 2
         assert "--max-oracle-n: must be >= 0" in capsys.readouterr().err
-
-    def test_negative_oracle_bound_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("LISRC_ORACLE_BOUND", "-5")
-        assert run(["oracle", K22_FILE]) == 2
-        assert "LISRC_ORACLE_BOUND must be >= 0, got -5" in capsys.readouterr().err
-        assert run(["gen", "-n", "12", "--seed", "1"]) == 2
-        assert "LISRC_ORACLE_BOUND must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["1_6", "+3", "١٦", " 1", "1 ", ""])
     @pytest.mark.parametrize("flag", ["-n", "--seed", "--max-oracle-n"])
     def test_strict_integer_flags(self, capsys, flag, text):
         # int() alone would read the first five as 16, 3, 16, 1 and 1.
-        rest = ["--seed", "1"] if flag == "-n" else ["-n", "3"]
-        assert run(["gen", *rest, flag, text]) == 2
+        argv = {
+            "-n": ["gen", "--seed", "1", flag, text],
+            "--seed": ["gen", "-n", "3", flag, text],
+            "--max-oracle-n": ["oracle", flag, text, K22_FILE],
+        }[flag]
+        assert run(argv) == 2
         assert f"argument {flag}: invalid integer {text!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["1_6", "+3", "١٦", " 16", "16 ", ""])
-    def test_strict_integer_env(self, capsys, monkeypatch, text):
-        monkeypatch.setenv("LISRC_ORACLE_BOUND", text)
-        assert run(["oracle", K22_FILE]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: LISRC_ORACLE_BOUND must be an integer, got {text!r}\n"
-
-    def test_strict_integers_still_accepted(self, capsys, monkeypatch):
-        assert run(["gen", "-n", "3", "--seed", "-2", "--max-oracle-n", "0"]) == 0
+    def test_strict_integers_still_accepted(self, capsys):
+        assert run(["gen", "-n", "3", "--seed", "-2"]) == 0
         assert capsys.readouterr().out.startswith("# lisrc gen n=3 seed=-2\n")
         assert run(["gen", "-n", "03", "--seed", "010"]) == 0
         assert capsys.readouterr().out.startswith("# lisrc gen n=3 seed=10\n")
         assert run(["oracle", "--max-oracle-n", "16", K22_FILE]) == 0
         assert capsys.readouterr().out == "NO\n"
-        monkeypatch.setenv("LISRC_ORACLE_BOUND", "4")
-        assert run(["oracle", K22_FILE]) == 0
+        assert run(["oracle", "--max-oracle-n", "04", K22_FILE]) == 0
         assert capsys.readouterr().out == "NO\n"
-        monkeypatch.setenv("LISRC_ORACLE_BOUND", "3")
-        assert run(["oracle", K22_FILE]) == 2
-        assert "exceeds" in capsys.readouterr().err
+        # 0 is a bound, if one that no instance is within.
+        assert run(["oracle", "--max-oracle-n", "0", K22_FILE]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: sequence length 4 exceeds exhaustive bound 0 "
+            "(raise the bound to override)\n",
+        )
 
     def test_json_deterministic(self, capsys):
         assert run(["decide", "--json", K22_FILE]) == 0
@@ -816,7 +819,7 @@ class TestFlagMatrix:
     READ_BY = {
         "--json": set(ON_FILES),
         "--exit-status": {"decide", "witness", "shortest", "oracle"},
-        "--max-oracle-n": {"oracle", "gen"},
+        "--max-oracle-n": {"oracle"},
         "--decide": set(),
     }
     CASES = [
