@@ -26,6 +26,7 @@ from .errors import (
     NotMaximum,
     ParseError,
     SizeMismatch,
+    TallPile,
     TooLarge,
 )
 from .oracle import (
@@ -80,6 +81,7 @@ __all__ = [
     "ReconfSequence",
     "Sequence",
     "SizeMismatch",
+    "TallPile",
     "TooLarge",
     "build_graph",
     "build_piles",

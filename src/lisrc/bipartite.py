@@ -6,9 +6,10 @@ Permutation graphs are perfect, so this graph is bipartite exactly when it
 has no triangle, that is when the sequence has no decreasing triple (a 321
 pattern); `decreasing_triple` finds one in O(n).
 
-`shortest_sequence` asks less: that every pile holds at most two entries.
-A pile is a decreasing run, so bipartite graphs qualify, and so does
-`2 1 4 6 5 3`, whose piles hold two entries each beside the triple 6 5 3.
+`shortest_sequence` asks less: that every pile holds at most two entries,
+and raises `TallPile` on a taller one.  A pile is a decreasing run, so
+bipartite graphs qualify, and so does `2 1 4 6 5 3`, whose piles hold two
+entries each beside the triple 6 5 3.
 There the walk that `witness` returns, down from I to I∧J and up to J, is
 shortest, and a "forbidden pair" certifies NO.  Proof sketch:
 
@@ -44,6 +45,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import TallPile
 from .piles import PileSystem, build_piles
 from .reconfig import ReconfSequence, _meet_walk, require_pair
 from .seqcore import FeasibleSet, Sequence
@@ -69,6 +71,8 @@ class PermutationGraph:
         return pos < len(a) and a[pos] == j
 
     def edges(self) -> list[tuple[int, int]]:
+        """Each edge (i, j), i < j, in ascending order: a list holds the
+        earlier neighbours, then the later ones, each ascending."""
         return [
             (i, j) for i in range(1, self.n + 1) for j in self.adjacency[i] if i < j
         ]
@@ -307,14 +311,15 @@ def _dyck_to_permutation(path: list[bool]) -> list[int]:
 
 def shortest_sequence(
     seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]
-) -> ReconfSequence | NoSequence | NotBipartite:
+) -> ReconfSequence | NoSequence:
     """Shortest swap sequence between maximum feasible sets, length |I \\ J|.
 
     Requires every pile to hold at most two entries.  A taller pile is a
-    decreasing triple: NotBipartite then carries `decreasing_triple`'s
-    fixed one, the only time that scan runs.  On YES the walk is
-    `witness`'s (`reconfig._meet_walk`); on NO a forbidden pair is the
-    certificate (NoSequence).  Both proofs are in the module docstring.
+    decreasing triple: once both sets are validated, TallPile is raised
+    carrying `decreasing_triple`'s fixed one, the only time that scan
+    runs.  On YES the walk is `witness`'s (`reconfig._meet_walk`); on NO
+    a forbidden pair is the certificate (NoSequence).  Both proofs are
+    in the module docstring.
 
     >>> from lisrc.seqcore import normalize
     >>> walk = shortest_sequence(normalize((2, 1, 4, 3)), (1, 3), (2, 4))
@@ -324,7 +329,7 @@ def shortest_sequence(
     ps = build_piles(seq)
     members_i, members_j = require_pair(seq, ps, i_set, j_set)
     if max(map(len, ps.piles)) > 2:
-        return NotBipartite(odd_cycle=decreasing_triple(seq))
+        raise TallPile(decreasing_triple(seq))
     walk = _meet_walk(seq, ps, members_i, members_j)[0]
     if walk is not None:
         return walk

@@ -294,22 +294,11 @@ def _steps_json(rs: ReconfSequence) -> list[dict]:
     return [{"remove": r, "add": a} for r, a in zip(rs.removed, rs.added)]
 
 
-def dot_permutation_graph(seq: Sequence, g: bp.PermutationGraph) -> str:
-    lines = ["graph G {"]
-    for v in range(1, g.n + 1):
-        lines.append(f'  {v} [label="{v} ({seq.raw[v - 1]})"];')
-    for i, j in sorted(g.edges()):
-        lines.append(f"  {i} -- {j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def dot_reconfig_graph(graph: orc.ReconfGraph) -> str:
-    lines = ["graph R {"]
-    for i, node in enumerate(graph.nodes):
-        lines.append(f'  {i} [label="{_fmt_set(node)}"];')
-    for u, v in graph.edges:
-        lines.append(f"  {u} -- {v};")
+def _dot(name: str, labels: Iterable, edges: Iterable) -> str:
+    """An undirected DOT graph from its (vertex, label) pairs and its edges."""
+    lines = [f"graph {name} {{"]
+    lines += (f'  {v} [label="{label}"];' for v, label in labels)
+    lines += (f"  {u} -- {v};" for u, v in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -335,10 +324,18 @@ def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
         write("\n".join(batch))
 
 
-def _yesno_status(args, yes: bool) -> int:
-    if args.exit_status:
-        return 0 if yes else 1
-    return 0
+def _answer(args, yes: bool, payload: dict, lines: Iterable[str], walk=None) -> int:
+    """Print the answer of a YES/NO query and return its exit status.
+
+    The JSON payload is `answer`, then `payload`, then, with a walk (a
+    `ReconfSequence`), its `steps` and `length`; a `length` already in
+    `payload` keeps its place.  `lines` is the text answer.
+    """
+    payload = {"answer": "yes" if yes else "no", **payload}
+    if args.json and walk is not None:
+        payload.update(steps=_steps_json(walk), length=len(walk))
+    _emit(args, payload, lines)
+    return 1 if args.exit_status and not yes else 0
 
 
 def _read_utf8(path: str) -> str:
@@ -367,7 +364,7 @@ def _cmd_reconfigure(args) -> int:
     seq, i_set, j_set = read_instance(_read_utf8(args.instance))
     answer = reconfigure(seq, i_set, j_set)
     yes = answer.walk is not None
-    payload: dict = {"answer": "yes" if yes else "no"}
+    payload: dict = {}
     if args.json:
         # Reading the representatives runs their descent: JSON only.
         payload["minimal_I"] = list(answer.minimal_i)
@@ -375,47 +372,25 @@ def _cmd_reconfigure(args) -> int:
     lines: Iterable[str] = ["YES" if yes else "NO"]
     walk = answer.walk if args.command == "witness" else None
     if walk is not None:
-        if args.json:
-            payload["steps"] = _steps_json(walk)
-            payload["length"] = len(walk)
         lines = chain(lines, [f"length {len(walk)}"], _render_walk(walk))
-    _emit(args, payload, lines)
-    return _yesno_status(args, yes)
+    return _answer(args, yes, payload, lines, walk)
 
 
 def _cmd_shortest(args) -> int:
     seq, i_set, j_set = read_instance(_read_utf8(args.instance))
     result = bp.shortest_sequence(seq, i_set, j_set)
-    if isinstance(result, bp.NotBipartite):
-        cycle = " ".join(str(v) for v in result.odd_cycle)
-        raise LisrcError(
-            f"permutation graph is not bipartite (odd cycle {cycle}); "
-            f"use 'decide' for the general case"
-        )
     if isinstance(result, bp.NoSequence):
         a, b = result.forbidden
-        _emit(
-            args,
-            {
-                "answer": "no",
-                "forbidden_pair": [
-                    {"pile": m.pile, "i_elem": m.i_elem, "j_elem": m.j_elem}
-                    for m in (a, b)
-                ],
-            },
-            [
-                "NO",
-                f"forbidden pair: pile {a.pile} (I {a.i_elem}, J {a.j_elem})"
-                f" / pile {b.pile} (I {b.i_elem}, J {b.j_elem})",
-            ],
+        pair = [
+            {"pile": m.pile, "i_elem": m.i_elem, "j_elem": m.j_elem} for m in (a, b)
+        ]
+        line = (
+            f"forbidden pair: pile {a.pile} (I {a.i_elem}, J {a.j_elem})"
+            f" / pile {b.pile} (I {b.i_elem}, J {b.j_elem})"
         )
-        return _yesno_status(args, False)
-    payload: dict = {"answer": "yes"}
-    if args.json:
-        payload.update(steps=_steps_json(result), length=len(result))
+        return _answer(args, False, {"forbidden_pair": pair}, ["NO", line])
     lines = chain(["YES", f"length {len(result)}"], _render_walk(result))
-    _emit(args, payload, lines)
-    return _yesno_status(args, True)
+    return _answer(args, True, {}, lines, result)
 
 
 def _cmd_piles(args) -> int:
@@ -435,9 +410,10 @@ def _cmd_graph(args) -> int:
     seq, _, _ = parse_instance(_read_utf8(args.instance), require_sets=False)
     g = bp.build_graph(seq)
     if args.json:
-        print(json.dumps({"n": g.n, "edges": [list(e) for e in sorted(g.edges())]}))
+        print(json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]}))
     else:
-        print(dot_permutation_graph(seq, g), end="")
+        labels = ((v, f"{v} ({x})") for v, x in enumerate(seq.raw, 1))
+        print(_dot("G", labels, g.edges()), end="")
     return 0
 
 
@@ -456,7 +432,9 @@ def _cmd_oracle(args) -> int:
         size = build_piles(seq).k if maximum_only else len(i_set)
         sets = orc.enumerate_feasible(seq, size, bound)
         if args.dot:
-            print(dot_reconfig_graph(orc.build_reconfig_graph(sets)), end="")
+            graph = orc.build_reconfig_graph(sets)
+            labels = enumerate(map(_fmt_set, graph.nodes))
+            print(_dot("R", labels, graph.edges), end="")
             return 0
         _emit(
             args,
@@ -467,16 +445,11 @@ def _cmd_oracle(args) -> int:
     if args.shortest:
         rs = orc.oracle_shortest(seq, i_set, j_set, maximum_only, bound)
         if rs is None:
-            _emit(args, {"answer": "no"}, ["NO"])
-            return _yesno_status(args, False)
-        payload = {"answer": "yes", "length": len(rs)}
-        if args.json:
-            payload["steps"] = _steps_json(rs)
-        _emit(args, payload, chain([str(len(rs))], _render_walk(rs, swaps=False)))
-        return _yesno_status(args, True)
+            return _answer(args, False, {}, ["NO"])
+        lines = chain([str(len(rs))], _render_walk(rs, swaps=False))
+        return _answer(args, True, {"length": len(rs)}, lines, rs)
     yes = orc.oracle_decide(seq, i_set, j_set, maximum_only, bound)
-    _emit(args, {"answer": "yes" if yes else "no"}, ["YES" if yes else "NO"])
-    return _yesno_status(args, yes)
+    return _answer(args, yes, {}, ["YES" if yes else "NO"])
 
 
 def _cmd_gen(args) -> int:
@@ -527,18 +500,16 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _positive_int(text: str) -> int:
-    value = _int_flag(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _at_least(low: int):
+    """The flag type of a strict integer no smaller than `low`."""
 
+    def flag(text: str) -> int:
+        value = _int_flag(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    value = _int_flag(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+    return flag
 
 
 @functools.cache
@@ -586,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = add("oracle", _cmd_oracle, oracle_help, *query)
     p_oracle.add_argument(
         "--max-oracle-n",
-        type=_nonnegative_int,
+        type=_at_least(0),
         default=orc.DEFAULT_BOUND,
         metavar="N",
         help=f"largest n to search exhaustively (default {orc.DEFAULT_BOUND})",
@@ -602,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_gen = add("gen", _cmd_gen, "generate a random instance")
-    p_gen.add_argument("-n", type=_positive_int, required=True, help="sequence length")
+    p_gen.add_argument("-n", type=_at_least(1), required=True, help="sequence length")
     p_gen.add_argument("--seed", type=_int_flag, default=0, help="RNG seed (default 0)")
     p_gen.add_argument(
         "--bipartite",
@@ -635,10 +606,7 @@ def run(argv: list[str]) -> int:
         finally:
             os.close(devnull)
         return 2
-    except LisrcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LisrcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

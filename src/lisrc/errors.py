@@ -57,6 +57,19 @@ class TooLarge(LisrcError):
         )
 
 
+class TallPile(LisrcError):
+    """A pile of three entries, outside `shortest_sequence`'s class: carries
+    a decreasing triple, a triangle of the permutation graph."""
+
+    def __init__(self, triple):
+        self.triple = triple
+        cycle = " ".join(map(str, triple))
+        super().__init__(
+            f"permutation graph is not bipartite (odd cycle {cycle}); "
+            f"use 'decide' for the general case"
+        )
+
+
 class ParseError(LisrcError):
     """Malformed instance text; reports line and column."""
 

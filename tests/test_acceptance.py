@@ -12,7 +12,6 @@ from pathlib import Path
 
 from lisrc import (
     NoSequence,
-    NotBipartite,
     ReconfSequence,
     build_graph,
     build_piles,
@@ -192,7 +191,6 @@ def test_criterion_5_bipartite_shortest(capsys):
         n = 4 + seed % 7
         seq, i_set, j_set = parse_instance(generate(n, seed=seed, bipartite=True))
         result = shortest_sequence(seq, i_set, j_set)
-        assert not isinstance(result, NotBipartite)
         if isinstance(result, NoSequence):
             with_pair.append((seq.raw, i_set, j_set))
         else:

@@ -13,6 +13,7 @@ from lisrc import (
     NotMaximum,
     ReconfSequence,
     SizeMismatch,
+    TallPile,
     build_graph,
     build_piles,
     find_forbidden_pair,
@@ -300,8 +301,9 @@ class TestShortestSequence:
 
     def test_non_bipartite_result(self):
         raw, i_set, j_set = DETOUR
-        result = shortest_sequence(normalize(raw), i_set, j_set)
-        assert result == NotBipartite(odd_cycle=(1, 4, 6))
+        with pytest.raises(TallPile) as info:
+            shortest_sequence(normalize(raw), i_set, j_set)
+        assert info.value.triple == (1, 4, 6)
 
     def test_rejects_non_maximum(self):
         with pytest.raises(NotMaximum):
@@ -422,15 +424,17 @@ class TestShortPiles:
     """`shortest` on piles of at most two entries, 321-avoiding or not."""
 
     def test_gate_is_a_pile_of_three(self):
-        # Every permutation of n <= 7: NotBipartite exactly when some chain
+        # Every permutation of n <= 7: TallPile exactly when some chain
         # level holds three positions, carrying the fixed triple.
         for n in range(1, 8):
             for raw in itertools.permutations(range(1, n + 1)):
                 some_max = bf.max_feasible_sets(raw)[0]
-                result = shortest_sequence(normalize(raw), some_max, some_max)
                 if tallest_level(raw) > 2:
-                    assert result == NotBipartite(bf.first_decreasing_triple(raw))
+                    with pytest.raises(TallPile) as info:
+                        shortest_sequence(normalize(raw), some_max, some_max)
+                    assert info.value.triple == bf.first_decreasing_triple(raw)
                 else:
+                    result = shortest_sequence(normalize(raw), some_max, some_max)
                     assert isinstance(result, ReconfSequence) and len(result) == 0
 
     def test_lengths_match_bfs_exhaustively(self):

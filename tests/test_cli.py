@@ -16,8 +16,10 @@ from lisrc import (
     DuplicateValue,
     IndexOutOfRange,
     Infeasible,
+    LisrcError,
     ParseError,
     ReconfSequence,
+    TallPile,
     normalize,
     oracle_shortest,
     shortest_sequence,
@@ -533,6 +535,15 @@ class TestRun:
         assert run(["shortest", DETOUR_FILE]) == 2
         err = capsys.readouterr().err
         assert "not bipartite" in err and "odd cycle 1 4 6" in err
+
+    def test_shortest_error_is_the_tall_pile_message(self, capsys):
+        assert run(["shortest", DETOUR_FILE]) == 2
+        out, err = capsys.readouterr()
+        seq, i_set, j_set = parse_instance(Path(DETOUR_FILE).read_text())
+        with pytest.raises(TallPile) as info:
+            shortest_sequence(seq, i_set, j_set)
+        assert isinstance(info.value, LisrcError)
+        assert out == "" and err == f"error: {info.value}\n"
 
     def test_shortest_on_short_piles_with_a_triangle(self, capsys):
         # Piles of two entries each, though 6 5 3 is a decreasing triple:

@@ -46,7 +46,7 @@ ENTRY_POINTS = {
 }
 
 # DETOUR: values 15 11 16 13 17 12 14, LIS length 3, not bipartite, so
-# shortest_sequence must validate before it reports NotBipartite.
+# shortest_sequence must validate before it raises TallPile.
 SEQ = normalize(DETOUR[0])
 I_MAX, J_MAX = DETOUR[1], DETOUR[2]
 
