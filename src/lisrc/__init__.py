@@ -34,14 +34,9 @@ from .oracle import (
     ReconfGraph,
     build_reconfig_graph,
     enumerate_feasible,
-    oracle_decide,
     oracle_shortest,
 )
-from .piles import (
-    PileSystem,
-    build_piles,
-    extract_canonical_max,
-)
+from .piles import PileSystem, build_piles
 from .reconfig import (
     Answer,
     ReconfSequence,
@@ -88,13 +83,11 @@ __all__ = [
     "build_reconfig_graph",
     "decide",
     "enumerate_feasible",
-    "extract_canonical_max",
     "find_forbidden_pair",
     "is_feasible",
     "minimal_set",
     "mixed_piles",
     "normalize",
-    "oracle_decide",
     "oracle_shortest",
     "precedes",
     "reconfigure",

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 from . import bipartite as bp
 from . import oracle as orc
 from .errors import LisrcError, ParseError
-from .piles import PileSystem, build_piles, extract_canonical_max
+from .piles import build_piles, random_max_sets
 from .reconfig import ReconfSequence, reconfigure
 from .seqcore import FeasibleSet, Sequence, normalize, require_feasible
 
@@ -188,36 +188,14 @@ def format_instance(
 # Instance generation
 
 
-def random_max_set(seq: Sequence, ps: PileSystem, rng: random.Random) -> FeasibleSet:
-    """A random maximum feasible set: a random backward chain through the piles.
-
-    Not uniform over all maximum feasible sets; used where full
-    enumeration is too large.
-    """
-    if ps.k == 0:
-        return ()
-    chain = [rng.choice(ps.piles[ps.k])]
-    for t in range(ps.k - 1, 0, -1):
-        nxt = chain[-1]
-        options = [
-            u
-            for u in ps.piles[t]
-            if u < nxt and seq.value(u) < seq.value(nxt)
-        ]
-        chain.append(rng.choice(options))
-    return tuple(sorted(chain))
-
-
 def generate(n: int, seed: int, bipartite: bool = False) -> str:
     """A reproducible random instance: permutation of 1..n plus two maximum sets.
 
-    I is the canonical blocker chain.  J is drawn uniformly from all
-    maximum feasible sets when n is at most the oracle's default bound
-    (`DEFAULT_BOUND`, 16), else by a random backward chain.  The
-    permutation is uniform over all of 1..n, or with bipartite=True
-    uniform over those whose permutation graph is bipartite (the
-    321-avoiding ones), for any n.  The output depends on the arguments
-    alone.
+    I and J are two independent draws of `random_max_sets`, each uniform
+    over all maximum feasible sets.  The permutation is uniform over all
+    of 1..n, or with bipartite=True uniform over those whose permutation
+    graph is bipartite (the 321-avoiding ones), for any n.  The output
+    depends on the arguments alone.
     """
     rng = random.Random(seed)
     if bipartite:
@@ -226,12 +204,7 @@ def generate(n: int, seed: int, bipartite: bool = False) -> str:
         values = list(range(1, n + 1))
         rng.shuffle(values)
     seq = normalize(values)
-    ps = build_piles(seq)
-    i_set = extract_canonical_max(ps)
-    if n <= orc.DEFAULT_BOUND:
-        j_set = rng.choice(orc.enumerate_feasible(seq, ps.k))
-    else:
-        j_set = random_max_set(seq, ps, rng)
+    i_set, j_set = islice(random_max_sets(seq, build_piles(seq), rng), 2)
     tag = f"n={n} seed={seed}" + (" bipartite" if bipartite else "")
     return format_instance(seq, i_set, j_set, comment=f"lisrc gen {tag}")
 
@@ -442,14 +415,12 @@ def _cmd_oracle(args) -> int:
             [_fmt_set(s) for s in sets],
         )
         return 0
-    if args.shortest:
-        rs = orc.oracle_shortest(seq, i_set, j_set, maximum_only, bound)
-        if rs is None:
-            return _answer(args, False, {}, ["NO"])
-        lines = chain([str(len(rs))], _render_walk(rs, swaps=False))
-        return _answer(args, True, {"length": len(rs)}, lines, rs)
-    yes = orc.oracle_decide(seq, i_set, j_set, maximum_only, bound)
-    return _answer(args, yes, {}, ["YES" if yes else "NO"])
+    rs = orc.oracle_shortest(seq, i_set, j_set, maximum_only, bound)
+    if rs is None or not args.shortest:
+        yes = rs is not None
+        return _answer(args, yes, {}, ["YES" if yes else "NO"])
+    lines = chain([str(len(rs))], _render_walk(rs, swaps=False))
+    return _answer(args, True, {"length": len(rs)}, lines, rs)
 
 
 def _cmd_gen(args) -> int:

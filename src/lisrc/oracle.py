@@ -1,8 +1,9 @@
 """Exhaustive ground truth for small sequences.
 
 The swap graph has the feasible sets of one size as nodes, adjacent when
-they differ in exactly one element.  `oracle_shortest` and
-`oracle_decide` search it breadth-first from I without building it.
+they differ in exactly one element.  `oracle_shortest` searches it
+breadth-first from I without building it, and returns None when J is
+out of reach, so `lisrc oracle` answers connectivity by that test.
 A state is an int bitmask over the indices 1..n, and its neighbours are
 read off two tables of per-index masks built once per query (which later
 indices hold a larger value, which earlier ones a smaller), at a cost of
@@ -156,17 +157,6 @@ def _mask_tables(perm: tuple[int, ...]) -> tuple[list[int], list[int]]:
         later_larger[i] = seen >> (i + 1) << (i + 1)
         seen |= 1 << i
     return later_larger, earlier_smaller
-
-
-def oracle_decide(
-    seq: Sequence,
-    i_set: Iterable[int],
-    j_set: Iterable[int],
-    maximum_only: bool = True,
-    bound: int = DEFAULT_BOUND,
-) -> bool:
-    """Whether J is reachable from I in the swap graph."""
-    return oracle_shortest(seq, i_set, j_set, maximum_only, bound) is not None
 
 
 def oracle_shortest(

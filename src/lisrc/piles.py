@@ -1,11 +1,9 @@
-"""Patience-sorting piles with a sentinel, and blocker chains.
+"""Patience-sorting piles with a sentinel, and uniform maximum sets.
 
 Every element is dealt onto the leftmost pile whose top value exceeds it.
 A sentinel of value 0 at index 0 is dealt first and forms pile 0 on its
 own; because normalized values are all >= 1, no real element ever lands
-there.  When an element lands on pile t >= 1, the element then on top of
-pile t-1 is its blocker.  Blocker chains run leftward pile by pile and
-end at the sentinel.
+there.
 
 Within a pile, entries from bottom to top have strictly increasing index
 and strictly decreasing value, so each pile is an antichain of the
@@ -13,14 +11,16 @@ position order and the pile count equals the longest-chain length.
 
 Dealing records only the piles themselves, and a `PileSystem` keeps
 nothing else.  Each query locates its k members by one binary search in
-their own piles (`reconfig._placed`), and a blocker is found the same
-way: it is the last entry of pile t - 1 whose index is below the
-element's.
+their own piles (`reconfig._placed`).  `random_max_sets` counts the
+maximum sets through each entry and draws them uniformly; it serves
+`lisrc gen` and no query.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
+from random import Random
+from typing import Iterator
 
 from .seqcore import FeasibleSet, Sequence
 
@@ -75,22 +75,55 @@ def build_piles(seq: Sequence) -> PileSystem:
     return PileSystem(piles=tuple(map(tuple, piles)))
 
 
-def extract_canonical_max(ps: PileSystem) -> FeasibleSet:
-    """One maximum feasible set: blocker chain from the bottom of the last pile.
+def random_max_sets(
+    seq: Sequence, ps: PileSystem, rng: Random
+) -> Iterator[FeasibleSet]:
+    """Independent draws, each uniform over all maximum feasible sets.
 
-    Deterministic; any entry of the last pile would start a valid chain,
-    the bottom entry is the fixed choice here.  The blocker of i on pile
-    t, the top of pile t - 1 when i was dealt, is the last entry of pile
-    t - 1 with a smaller index: one binary search per pile, O(k log n).
-    The sentinel is dropped from the result.
+    A maximum set is a chain with one entry per pile, each after an
+    entry of the pile to its left with a smaller index and value.  On
+    pile t - 1 indices rise and values fall with depth, so entry d of
+    pile t follows the depths [lo, hi) there: lo is the first of smaller
+    value, hi the first of index at least d's.  Both ends rise with d,
+    so two pointers find every range in one O(n) sweep; none is empty,
+    as it holds the top of pile t - 1 when d was dealt.  `counts[t]`
+    holds prefix sums over pile t of the chains ending at each entry.
 
+    A draw walks down from the last pile, picking within the range that
+    the entry above allows, each entry with probability its chain count
+    over the range's total.  The product telescopes to one over the
+    number of maximum sets, whichever set is drawn.  The table is built
+    once, before the first draw; a draw costs O(k log n).
+
+    >>> from itertools import islice
     >>> from lisrc.seqcore import normalize
-    >>> extract_canonical_max(build_piles(normalize((7, 8, 5, 6))))
-    (1, 2)
+    >>> seq = normalize((7, 8, 5, 6))
+    >>> draws = random_max_sets(seq, build_piles(seq), Random(1))
+    >>> sorted(set(islice(draws, 50)))
+    [(1, 2), (3, 4)]
     """
-    chain: list[int] = []
-    cur = ps.piles[ps.k][0]
-    for below in reversed(ps.piles[: ps.k]):
-        chain.append(cur)
-        cur = below[bisect_left(below, cur) - 1]
-    return tuple(reversed(chain))
+    value = (0, *seq.perm)
+    counts = [[0, 1]]
+    ranges: list[list[tuple[int, int]]] = [[]]
+    for below, pile in zip(ps.piles, ps.piles[1:]):
+        under = counts[-1]
+        sums, spans = [0], []
+        lo = hi = 0
+        for i in pile:
+            while hi < len(below) and below[hi] < i:
+                hi += 1
+            while value[below[lo]] > value[i]:
+                lo += 1
+            sums.append(sums[-1] + under[hi] - under[lo])
+            spans.append((lo, hi))
+        counts.append(sums)
+        ranges.append(spans)
+    while True:
+        chain = []
+        lo, hi = 0, len(ps.piles[-1])
+        for t in range(ps.k, 0, -1):
+            sums = counts[t]
+            d = bisect_right(sums, sums[lo] + rng.randrange(sums[hi] - sums[lo])) - 1
+            chain.append(ps.piles[t][d])
+            lo, hi = ranges[t][d]
+        yield tuple(reversed(chain))

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DuplicateValue, IndexOutOfRange, Infeasible
+from .errors import DuplicateValue, IndexOutOfRange, Infeasible, LisrcError
 
 FeasibleSet = tuple[int, ...]
 
@@ -58,8 +58,9 @@ def normalize(raw: Iterable[int]) -> Sequence:
     ints from 1 to n are their own ranks, so `perm` is `raw` itself.  The
     test asks for type int exactly, since `(1, 1.5, 3)` and `(True, 2)`
     pass the range test but must become `(1, 2, 3)` and `(1, 2)`.  Other
-    input costs O(n log n) for one sort of the distinct values.  A
-    repeated value raises DuplicateValue naming the smallest one.
+    input costs O(n log n) for one sort of the distinct values; values
+    that do not compare, or a NaN, raise LisrcError.  A repeated value
+    raises DuplicateValue naming the smallest one.
 
     >>> normalize((7, 8, 5, 6)).perm
     (3, 4, 1, 2)
@@ -71,9 +72,16 @@ def normalize(raw: Iterable[int]) -> Sequence:
     distinct = set(raw)
     if len(distinct) != n:
         raise DuplicateValue(min(v for v, c in Counter(raw).items() if c > 1))
-    if raw and min(raw) == 1 and max(raw) == n and set(map(type, raw)) == {int}:
+    if raw and set(map(type, raw)) == {int} and min(raw) == 1 and max(raw) == n:
         return Sequence(raw=raw, perm=raw)
-    rank = dict(zip(sorted(distinct), range(1, n + 1)))
+    try:
+        ranked = sorted(distinct)
+    except TypeError as exc:
+        raise LisrcError(f"values are not comparable: {exc}") from None
+    for a, b in zip(ranked, ranked[1:]):
+        if not a < b:
+            raise LisrcError(f"values are not ordered: {a!r} and {b!r}")
+    rank = dict(zip(ranked, range(1, n + 1)))
     return Sequence(raw=raw, perm=tuple(map(rank.__getitem__, raw)))
 
 

@@ -19,7 +19,6 @@ from lisrc import (
     minimal_set,
     mixed_piles,
     normalize,
-    oracle_decide,
     oracle_shortest,
     require_feasible,
     shortest_sequence,
@@ -36,7 +35,8 @@ PAIR_ENTRY_POINTS = {
     "witness": witness,
     "mixed_piles": lambda seq, i, j: mixed_piles(seq, build_piles(seq), i, j),
     "shortest_sequence": shortest_sequence,
-    "oracle_decide": oracle_decide,
+    # The oracle's yes/no answer, as `lisrc oracle` computes it.
+    "oracle_decide": lambda seq, i, j: oracle_shortest(seq, i, j) is not None,
     "oracle_shortest": oracle_shortest,
 }
 # The single-set entry points validate I and ignore J.
@@ -85,7 +85,7 @@ def test_unequal_sizes_mismatch_before_not_maximum(name):
         is_feasible,
         lambda seq, s: decide(seq, s, (1, 3, 5)),
         lambda seq, s: shortest_sequence(seq, s, (1, 3, 5)),
-        lambda seq, s: oracle_decide(seq, s, (1, 3, 5)),
+        lambda seq, s: oracle_shortest(seq, s, (1, 3, 5)) is not None,
     ],
     ids=["require_feasible", "is_feasible", "decide", "shortest_sequence", "oracle_decide"],
 )

@@ -14,7 +14,6 @@ from lisrc import (
     enumerate_feasible,
     is_feasible,
     normalize,
-    oracle_decide,
     oracle_shortest,
 )
 from lisrc.cli import run
@@ -109,19 +108,16 @@ class TestBuildReconfigGraph:
 class TestOracleQueries:
     def test_four_cycle_no_instance(self):
         seq = normalize(K22_NO[0])
-        assert oracle_decide(seq, (1, 2), (3, 4)) is False
         assert oracle_shortest(seq, (1, 2), (3, 4)) is None
 
     def test_identical_sets(self):
         seq = normalize(K22_NO[0])
-        assert oracle_decide(seq, (1, 2), (1, 2)) is True
         rs = oracle_shortest(seq, (1, 2), (1, 2))
         assert rs.start == (1, 2) and rs.removed == rs.added == ()
 
     def test_detour_distance(self):
         raw, i_set, j_set = DETOUR
         seq = normalize(raw)
-        assert oracle_decide(seq, i_set, j_set) is True
         rs = oracle_shortest(seq, i_set, j_set)
         assert len(rs) == 4
         sets = list(rs.sets())
@@ -131,12 +127,11 @@ class TestOracleQueries:
     def test_maximum_mode_rejects_smaller_sets(self):
         seq = normalize(K22_NO[0])
         with pytest.raises(NotMaximum):
-            oracle_decide(seq, (1,), (3,))
+            oracle_shortest(seq, (1,), (3,))
 
     def test_general_mode_handles_smaller_sets(self):
         # Size-1 sets are all reconfigurable through each other directly.
         seq = normalize(K22_NO[0])
-        assert oracle_decide(seq, (1,), (3,), maximum_only=False) is True
         assert len(oracle_shortest(seq, (1,), (3,), maximum_only=False)) == 1
 
     def test_general_mode_distances_match_reference(self):
@@ -153,18 +148,16 @@ class TestOracleQueries:
             found = oracle_shortest(seq, i_set, j_set, maximum_only=False)
             if expected is None:
                 assert found is None
-                assert oracle_decide(seq, i_set, j_set, maximum_only=False) is False
             else:
                 assert len(found) == expected
                 assert len(found) >= len(set(i_set) - set(j_set))
-                assert oracle_decide(seq, i_set, j_set, maximum_only=False) is True
 
     def test_bound_override(self):
         seq = normalize(range(1, 18))
         full = tuple(range(1, 18))
         with pytest.raises(TooLarge):
-            oracle_decide(seq, full, full)
-        assert oracle_decide(seq, full, full, bound=20) is True
+            oracle_shortest(seq, full, full)
+        assert oracle_shortest(seq, full, full, bound=20) is not None
 
     def test_negative_bound_is_typed(self):
         seq = normalize((2, 1, 4, 3))
@@ -224,9 +217,7 @@ class TestImplicitSearch:
     def test_queries_never_build_the_graph(self, no_graph, capsys):
         detour, k22 = normalize(DETOUR[0]), normalize(K22_NO[0])
         assert len(oracle_shortest(detour, DETOUR[1], DETOUR[2])) == 4
-        assert oracle_decide(detour, DETOUR[1], DETOUR[2]) is True
         assert oracle_shortest(k22, K22_NO[1], K22_NO[2]) is None
-        assert oracle_decide(k22, K22_NO[1], K22_NO[2]) is False
         for flags, name, first_line in [
             (["--shortest"], "detour.txt", "4"),
             (["--shortest"], "k22.txt", "NO"),

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import random
+from bisect import bisect_left
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,17 +12,17 @@ from lisrc import (
     PileSystem,
     build_piles,
     enumerate_feasible,
-    extract_canonical_max,
     minimal_set,
     mixed_piles,
     normalize,
 )
+from lisrc.piles import random_max_sets
 
 import bruteforce as bf
 from conftest import BIP, K22_NO, DETOUR
 
 # Per-element tables a PileSystem does not keep: queries locate members,
-# and `extract_canonical_max` blockers, by binary search in the piles.
+# and a blocker is found, by binary search in the piles.
 NOT_KEPT = ("pile_of", "depth_of", "blocker", "n")
 
 
@@ -128,13 +130,12 @@ class TestDerivedCoordinates:
             assert [(pile_of[i], depth_of[i]) for i in pile] == [
                 (t, d) for d in range(len(pile))
             ]
-        # The canonical chain follows the reference's blockers.
-        chain = []
-        cur = ps.piles[ps.k][0]
-        while cur != 0:
-            chain.append(cur)
-            cur = blocker[cur]
-        assert extract_canonical_max(ps) == tuple(sorted(chain))
+        # A blocker is the last entry of the pile to the left with a
+        # smaller index.
+        for t in range(1, ps.k + 1):
+            below = ps.piles[t - 1]
+            for i in ps.piles[t]:
+                assert blocker[i] == below[bisect_left(below, i) - 1]
 
     def test_piles_are_the_only_field(self):
         assert [f.name for f in dataclasses.fields(PileSystem)] == ["piles"]
@@ -172,25 +173,26 @@ class TestDerivedCoordinates:
         assert sets == 136_587
 
 
-class TestExtractCanonicalMax:
-    def test_k22_sequence(self):
-        assert extract_canonical_max(build_piles(normalize(K22_NO[0]))) == (1, 2)
+class TestRandomMaxSets:
+    def test_uniform_over_maximum_sets(self):
+        # Four maximum sets, which differ on the first five positions only:
+        # {1,2}, {1,5}, {3,5} and {4,5}.  A chain drawn pile by pile with
+        # equal odds per option gives {1,2} about half the draws.
+        raw = (3, 5, 2, 1, 4, *range(6, 21))
+        seq = normalize(raw)
+        sampler = random_max_sets(seq, build_piles(seq), random.Random(5))
+        draws = Counter(itertools.islice(sampler, 8000))
+        assert set(draws) == set(bf.max_feasible_sets(raw))
+        assert all(1800 <= c <= 2200 for c in draws.values()), draws
 
-    def test_increasing_sequence(self):
-        assert extract_canonical_max(build_piles(normalize((1, 2, 3)))) == (1, 2, 3)
-
-    def test_detour_sequence(self):
-        # Blocker chain from the bottom of the last pile: 17 <- 13 <- 11.
-        ps = build_piles(normalize(DETOUR[0]))
-        assert extract_canonical_max(ps) == (2, 4, 5)
-
-    def test_empty_sequence(self):
-        assert extract_canonical_max(build_piles(normalize(()))) == ()
-
-    def test_always_maximum_feasible(self):
-        for raw in corpus(seed=41):
-            seq = normalize(raw)
-            assert bf.is_maximum_feasible(raw, extract_canonical_max(build_piles(seq)))
+    def test_every_draw_is_maximum(self):
+        rng = random.Random(6)
+        for n in range(7):
+            for raw in itertools.permutations(range(1, n + 1)):
+                seq = normalize(raw)
+                sets = set(bf.max_feasible_sets(raw))
+                sampler = random_max_sets(seq, build_piles(seq), rng)
+                assert all(s in sets for s in itertools.islice(sampler, 4)), raw
 
 
 class TestPileCoord:

@@ -9,6 +9,7 @@ from lisrc import (
     build_piles,
     IndexOutOfRange,
     Infeasible,
+    LisrcError,
     NotMaximum,
     is_feasible,
     minimal_set,
@@ -116,6 +117,19 @@ class TestNormalize:
             bf.rank_normalize(raw)
         smallest = min(v for v in raw if raw.count(v) > 1)
         assert got.value.value == want.value.value == smallest
+
+    def test_values_that_do_not_compare_are_typed(self):
+        with pytest.raises(LisrcError, match="not comparable") as info:
+            normalize([1, "a"])
+        assert type(info.value) is LisrcError
+
+    @pytest.mark.parametrize("at", range(3))
+    def test_nan_is_not_ranked(self, at):
+        raw = [1.0, 2.0]
+        raw.insert(at, float("nan"))
+        with pytest.raises(LisrcError, match="not ordered: .*nan") as info:
+            normalize(raw)
+        assert type(info.value) is LisrcError
 
     @given(st.lists(st.integers(-1000, 1000), unique=True, max_size=20))
     def test_order_isomorphic(self, raw):
