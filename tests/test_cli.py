@@ -259,10 +259,17 @@ class TestGenerate:
         assert generate(9, seed=1) != generate(9, seed=2)
 
     def test_sets_are_maximum_feasible(self):
-        for n, seed in [*((8, seed) for seed in range(20)), (40, 3)]:
-            seq, i_set, j_set = parse_instance(generate(n, seed=seed))
+        for seed in range(20):
+            seq, i_set, j_set = parse_instance(generate(8, seed=seed))
             assert bf.is_maximum_feasible(seq.raw, i_set)
             assert bf.is_maximum_feasible(seq.raw, j_set)
+
+    def test_large_n_uses_chain_sampling(self):
+        # Past the oracle's bound, where no enumeration of the sets runs:
+        # both draws walk the chain counts down the piles.
+        seq, i_set, j_set = parse_instance(generate(40, seed=3))
+        assert bf.is_maximum_feasible(seq.raw, i_set)
+        assert bf.is_maximum_feasible(seq.raw, j_set)
 
     def test_bipartite_flag(self):
         for seed in range(10):
