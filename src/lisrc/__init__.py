@@ -50,7 +50,6 @@ from .seqcore import (
     Sequence,
     is_feasible,
     normalize,
-    precedes,
     require_feasible,
 )
 
@@ -89,7 +88,6 @@ __all__ = [
     "mixed_piles",
     "normalize",
     "oracle_shortest",
-    "precedes",
     "reconfigure",
     "require_feasible",
     "shortest_sequence",

@@ -41,7 +41,6 @@ the tests, not the queries.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -64,11 +63,6 @@ class PermutationGraph:
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        a = self.adjacency[i]
-        pos = bisect_left(a, j)
-        return pos < len(a) and a[pos] == j
 
     def edges(self) -> list[tuple[int, int]]:
         """Each edge (i, j), i < j, in ascending order: a list holds the

@@ -39,9 +39,6 @@ from .seqcore import FeasibleSet, Sequence, normalize, require_feasible
 # importable from here although nothing in this module calls it.
 from .reconfig import minimal_set  # noqa: F401
 
-# Text lines per write.  A walk line holds a whole set, so one batch is
-# O(k) text, far below the O(k) per step of a long walk's whole output.
-EMIT_BATCH_LINES = 16
 # The lines `_int_tokens` hands to the JSON decoder.
 _JSON_LINE = re.compile(r"[0-9 -]*")
 
@@ -283,18 +280,16 @@ def _dot(name: str, labels: Iterable, edges: Iterable) -> str:
 def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
     """Print the payload as JSON, or the text lines.
 
-    The text lines are written in batches of EMIT_BATCH_LINES as they are
-    produced, so a lazy walk (`_render_walk`) never sits in memory whole;
-    on the JSON path they are never produced.
+    Each text line is written as it is produced, so a lazy walk
+    (`_render_walk`) never sits in memory whole; on the JSON path the
+    lines are never produced.
     """
     if args.json:
         print(json.dumps(payload))
         return
     write = sys.stdout.write
-    lines = iter(text_lines)
-    while batch := list(islice(lines, EMIT_BATCH_LINES)):
-        batch.append("")
-        write("\n".join(batch))
+    for line in text_lines:
+        write(line + "\n")
 
 
 def _answer(args, yes: bool, payload: dict, lines: Iterable[str], walk=None) -> int:
@@ -369,13 +364,14 @@ def _cmd_shortest(args) -> int:
 def _cmd_piles(args) -> int:
     seq, _, _ = parse_instance(_read_utf8(args.instance), require_sets=False)
     ps = build_piles(seq)
-    text = []
-    piles_json = []
-    for t in range(ps.k + 1):
-        entries = ps.entries(seq, t)
-        text.append(f"P{t}: " + " ".join(f"{i}({v})" for i, v in entries))
-        piles_json.append([[i, v] for i, v in entries])
-    _emit(args, {"k": ps.k, "piles": piles_json}, text)
+    # Each entry as [index, raw value]; the sentinel shows as 0(0).
+    value = (0, *seq.raw)
+    piles = [[[i, value[i]] for i in pile] for pile in ps.piles]
+    text = (
+        f"P{t}: " + " ".join(f"{i}({v})" for i, v in pile)
+        for t, pile in enumerate(piles)
+    )
+    _emit(args, {"k": ps.k, "piles": piles}, text)
     return 0
 
 

@@ -10,10 +10,11 @@ and strictly decreasing value, so each pile is an antichain of the
 position order and the pile count equals the longest-chain length.
 
 Dealing records only the piles themselves, and a `PileSystem` keeps
-nothing else.  Each query locates its k members by one binary search in
-their own piles (`reconfig._placed`).  `random_max_sets` counts the
-maximum sets through each entry and draws them uniformly; it serves
-`lisrc gen` and no query.
+nothing else: no values, which `lisrc piles` reads from the sequence.
+Each query locates its k members by one binary search in their own
+piles (`reconfig._placed`).  `random_max_sets` counts the maximum sets
+through each entry and draws them uniformly; it serves `lisrc gen` and
+no query.
 """
 from __future__ import annotations
 
@@ -39,13 +40,6 @@ class PileSystem:
     def k(self) -> int:
         """Id of the last pile; equals the maximum feasible-set size."""
         return len(self.piles) - 1
-
-    def entries(self, seq: Sequence, t: int) -> list[tuple[int, int]]:
-        """Pile t as (index, raw value) pairs, bottom to top.
-
-        The sentinel appears as (0, 0); it has no raw value of its own.
-        """
-        return [(i, seq.raw[i - 1] if i else 0) for i in self.piles[t]]
 
 
 def build_piles(seq: Sequence) -> PileSystem:

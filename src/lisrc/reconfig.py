@@ -135,12 +135,6 @@ class ReconfSequence:
                     continue
             raise ValueError(f"swap {remove} -> {add} does not apply to {tuple(cur)}")
 
-    def end(self) -> FeasibleSet:
-        """The last set of the sequence, by the replay of `sets`."""
-        for cur in self.sets():
-            pass
-        return cur
-
 
 def _require_size(ps: PileSystem, members: FeasibleSet) -> FeasibleSet:
     """Raise NotMaximum unless the feasible set `members` has size `ps.k`."""
@@ -238,8 +232,6 @@ def _lowest_depth(
 def _descend(
     perm: tuple[int, ...],
     piles: tuple[tuple[int, ...], ...],
-    k: int,
-    last_value: int,
     chosen: list[int],
     depth: list[int],
     floor: list[int],
@@ -263,9 +255,11 @@ def _descend(
     below the member in O(1): by `_lowest_depth`'s suffix argument, when
     that entry does not fit no deeper one does, and when it fits the
     search finds a move.  So every O(log n) search moves a pile, and the
-    descent costs O(k + moves·log n).  `last_value` is n + 1, the bound
-    to the right of the last pile.
+    descent costs O(k + moves·log n).  The last pile, k = len(piles) - 1,
+    has the value n + 1 as its bound on the right.
     """
+    k = len(piles) - 1
+    last_value = len(perm) + 1
     removed: list[int] = []
     added: list[int] = []
     # Slot 0 is the sentinel pile, never dirty; slot k + 1 stops the scan.
@@ -308,9 +302,7 @@ def _to_bottom(
     move.
     """
     chosen, depth = _placed(ps, members)
-    removed, added = _descend(
-        seq.perm, ps.piles, ps.k, seq.n + 1, chosen, depth, [0] * len(depth)
-    )
+    removed, added = _descend(seq.perm, ps.piles, chosen, depth, [0] * len(depth))
     # Every move keeps the set increasing, so pile order is index order.
     return tuple(chosen[1:]), removed, added
 
@@ -383,12 +375,11 @@ def _meet_walk(
     continues from those to the representatives;
     `bipartite.shortest_sequence` stops here.
     """
-    perm, piles, k, last_value = seq.perm, ps.piles, ps.k, seq.n + 1
     chosen_i, depth_i = _placed(ps, members_i)
     chosen_j, depth_j = _placed(ps, members_j)
     meet = list(map(min, depth_i, depth_j))
-    removed_i, added_i = _descend(perm, piles, k, last_value, chosen_i, depth_i, meet)
-    removed_j, added_j = _descend(perm, piles, k, last_value, chosen_j, depth_j, meet)
+    removed_i, added_i = _descend(seq.perm, ps.piles, chosen_i, depth_i, meet)
+    removed_j, added_j = _descend(seq.perm, ps.piles, chosen_j, depth_j, meet)
     walk = None
     if depth_i == depth_j:
         walk = ReconfSequence(

@@ -59,8 +59,8 @@ def normalize(raw: Iterable[int]) -> Sequence:
     test asks for type int exactly, since `(1, 1.5, 3)` and `(True, 2)`
     pass the range test but must become `(1, 2, 3)` and `(1, 2)`.  Other
     input costs O(n log n) for one sort of the distinct values; values
-    that do not compare, or a NaN, raise LisrcError.  A repeated value
-    raises DuplicateValue naming the smallest one.
+    that do not hash or compare, or a NaN, raise LisrcError.  A repeated
+    value raises DuplicateValue naming the smallest one.
 
     >>> normalize((7, 8, 5, 6)).perm
     (3, 4, 1, 2)
@@ -69,13 +69,22 @@ def normalize(raw: Iterable[int]) -> Sequence:
     """
     raw = tuple(raw)
     n = len(raw)
-    distinct = set(raw)
+    try:
+        distinct = set(raw)
+    except TypeError as exc:
+        raise LisrcError(f"values are not hashable: {exc}") from None
     if len(distinct) != n:
-        raise DuplicateValue(min(v for v, c in Counter(raw).items() if c > 1))
+        try:
+            raise DuplicateValue(min(v for v, c in Counter(raw).items() if c > 1))
+        except TypeError as exc:
+            raise LisrcError(f"values are not comparable: {exc}") from None
     if raw and set(map(type, raw)) == {int} and min(raw) == 1 and max(raw) == n:
         return Sequence(raw=raw, perm=raw)
     try:
         ranked = sorted(distinct)
+        # The sort compares nothing for one value: compare it with itself.
+        if n == 1 and not raw[0] <= raw[0]:
+            raise LisrcError(f"values are not ordered: {raw[0]!r}")
     except TypeError as exc:
         raise LisrcError(f"values are not comparable: {exc}") from None
     for a, b in zip(ranked, ranked[1:]):
@@ -83,22 +92,6 @@ def normalize(raw: Iterable[int]) -> Sequence:
             raise LisrcError(f"values are not ordered: {a!r} and {b!r}")
     rank = dict(zip(ranked, range(1, n + 1)))
     return Sequence(raw=raw, perm=tuple(map(rank.__getitem__, raw)))
-
-
-def precedes(seq: Sequence, i: int, j: int) -> bool:
-    """Order test on positions: i before j and value(i) below value(j).
-
-    Reflexive: precedes(seq, k, k) is True.  Index 0 stands for the
-    sentinel, which precedes every position.  Both indices go through
-    `Sequence.value`, so anything but an int in 0..n raises
-    IndexOutOfRange.
-
-    >>> s = normalize((7, 8, 5, 6))
-    >>> precedes(s, 1, 2), precedes(s, 1, 3), precedes(s, 2, 2)
-    (True, False, True)
-    """
-    vi, vj = seq.value(i), seq.value(j)
-    return i == j or (i < j and vi < vj)
 
 
 def require_feasible(seq: Sequence, s: Iterable[int]) -> FeasibleSet:

@@ -249,7 +249,7 @@ def test_criterion_6_structural_invariants(capsys):
         g = build_graph(seq)
         for u, v in graph.edges:
             diff = sorted(set(graph.nodes[u]) ^ set(graph.nodes[v]))
-            if len(diff) != 2 or not g.has_edge(diff[0], diff[1]):
+            if len(diff) != 2 or diff[1] not in g.adjacency[diff[0]]:
                 violations += 1
 
     checked = 0

@@ -30,6 +30,12 @@ def test_module_doctests():
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def test_readme_examples():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.failed == 0
+    assert result.attempted > 0
+
+
 def test_readme_lists_the_public_api():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("The public API is `lisrc.__all__`:", 1)[1]

@@ -237,12 +237,12 @@ class TestWitness:
         raw, i_set, j_set = DETOUR
         rs = witness(normalize(raw), i_set, j_set)
         assert len(rs) == 4
-        assert rs.start == i_set and rs.end() == j_set
+        assert rs.start == i_set and list(rs.sets())[-1] == j_set
 
     def test_identical_sets(self):
         rs = witness(normalize(K22_NO[0]), (1, 2), (1, 2))
         assert rs.removed == rs.added == ()
-        assert rs.end() == (1, 2)
+        assert list(rs.sets()) == [(1, 2)]
 
     def test_no_instance(self):
         assert witness(normalize(K22_NO[0]), (1, 2), (3, 4)) is None
@@ -411,11 +411,11 @@ def halves(monkeypatch):
     calls = []
     descend = lisrc.reconfig._descend
 
-    def recording_descend(perm, piles, k, *rest):
+    def recording_descend(perm, piles, *rest):
         counting = CountingPiles(piles)
         counting.reads = 0
-        removed, added = descend(perm, counting, k, *rest)
-        calls.append((removed, added, k, counting.reads))
+        removed, added = descend(perm, counting, *rest)
+        calls.append((removed, added, len(piles) - 1, counting.reads))
         return removed, added
 
     monkeypatch.setattr(lisrc.reconfig, "_descend", recording_descend)
@@ -476,7 +476,6 @@ class TestApplyStep:
     def test_sequence_replay(self):
         rs = ReconfSequence(start=(1, 3, 5), removed=(1, 3), added=(2, 4))
         assert list(rs.sets()) == [(1, 3, 5), (2, 3, 5), (2, 4, 5)]
-        assert rs.end() == (2, 4, 5)
 
 
 def replay_outcome(sets):
@@ -493,13 +492,6 @@ def replay_outcome(sets):
 def check_replay(rs):
     expected = replay_outcome(bf.replay_sets(rs))
     assert replay_outcome(rs.sets()) == expected
-    sets, error = expected
-    if error is None:
-        assert rs.end() == sets[-1]
-    else:
-        with pytest.raises(ValueError) as exc:
-            rs.end()
-        assert str(exc.value) == error
 
 
 SMALL_PERMS = st.integers(1, 8).flatmap(
@@ -584,7 +576,6 @@ class TestReplay:
     def test_add_changes_slot(self):
         rs = ReconfSequence(start=(1, 3, 5), removed=(1, 5), added=(4, 2))
         assert list(rs.sets()) == [(1, 3, 5), (3, 4, 5), (2, 3, 4)]
-        assert rs.end() == (2, 3, 4)
 
     def test_slots_of_each_step(self):
         # A step within its slot is written in place; another moves members.
@@ -603,7 +594,7 @@ class TestReplay:
     def test_add_already_a_member_of_a_neighbour_slot(self, add):
         rs = ReconfSequence(start=(1, 3, 5), removed=(3,), added=(add,))
         with pytest.raises(ValueError, match=rf"3 -> {add} does not apply"):
-            rs.end()
+            list(rs.sets())
 
     def test_fields_of_unequal_length(self):
         with pytest.raises(ValueError, match="2 removed but 1 added"):

@@ -14,7 +14,6 @@ from lisrc import (
     is_feasible,
     minimal_set,
     normalize,
-    precedes,
     require_feasible,
 )
 
@@ -131,6 +130,21 @@ class TestNormalize:
             normalize(raw)
         assert type(info.value) is LisrcError
 
+    def test_unhashable_values_are_typed(self):
+        with pytest.raises(LisrcError, match="not hashable") as info:
+            normalize([[1], [2]])
+        assert type(info.value) is LisrcError
+
+    def test_repeats_that_do_not_compare_are_typed(self):
+        with pytest.raises(LisrcError, match="not comparable") as info:
+            normalize([1, 1, "a", "a"])
+        assert type(info.value) is LisrcError
+
+    def test_lone_nan_is_not_ranked(self):
+        with pytest.raises(LisrcError, match="not ordered: nan") as info:
+            normalize([float("nan")])
+        assert type(info.value) is LisrcError
+
     @given(st.lists(st.integers(-1000, 1000), unique=True, max_size=20))
     def test_order_isomorphic(self, raw):
         seq = normalize(raw)
@@ -147,42 +161,12 @@ class TestValue:
                 seq.value(bad)
             assert info.value.index is bad
 
-
-class TestPrecedes:
-    def test_increasing_pair(self):
-        assert precedes(normalize((7, 8, 5, 6)), 1, 2)
-
-    def test_reflexive(self):
+    def test_sentinel_and_range(self):
         seq = normalize((7, 8, 5, 6))
-        assert all(precedes(seq, k, k) for k in range(1, 5))
-
-    def test_value_decrease(self):
-        assert not precedes(normalize((7, 8, 5, 6)), 1, 3)
-
-    def test_sentinel_precedes_everything(self):
-        seq = normalize((7, 8, 5, 6))
-        assert all(precedes(seq, 0, j) for j in range(5))
-
-    def test_out_of_range(self):
-        seq = normalize((7, 8, 5, 6))
-        with pytest.raises(IndexOutOfRange):
-            precedes(seq, 1, 5)
-        with pytest.raises(IndexOutOfRange):
-            precedes(seq, -1, 2)
-        # As in `require_feasible`, an index is an int: True is not read as
-        # position 1, nor 1.0 or "2" as the position they spell.
-        for i, j in [(True, 2), (1.0, 2), (1, "2")]:
+        assert [seq.value(i) for i in range(5)] == [0, 3, 4, 1, 2]
+        for bad in (-1, 5):
             with pytest.raises(IndexOutOfRange):
-                precedes(seq, i, j)
-
-    @given(perms())
-    def test_matches_raw_comparison(self, raw):
-        seq = normalize(raw)
-        n = len(raw)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                expected = i == j or (i < j and raw[i - 1] < raw[j - 1])
-                assert precedes(seq, i, j) == expected
+                seq.value(bad)
 
 
 class TestIsFeasible:
@@ -207,7 +191,7 @@ class TestIsFeasible:
         for _ in range(10):
             s = [i for i in range(1, n + 1) if rng.random() < 0.5]
             expected = all(
-                precedes(seq, i, j) for i, j in itertools.combinations(sorted(s), 2)
+                raw[i - 1] < raw[j - 1] for i, j in itertools.combinations(sorted(s), 2)
             )
             assert is_feasible(seq, s) == expected
 
