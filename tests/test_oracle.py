@@ -47,6 +47,14 @@ class TestEnumerateFeasible:
             for size in range(len(raw) + 1):
                 assert enumerate_feasible(seq, size) == bf.feasible_sets(raw, size)
 
+    def test_every_permutation_up_to_seven(self):
+        # Every size from 0 to n + 1, the last one past every feasible set.
+        for n in range(8):
+            for raw in itertools.permutations(range(1, n + 1)):
+                seq = normalize(raw)
+                for size in range(n + 2):
+                    assert enumerate_feasible(seq, size) == bf.feasible_sets(raw, size)
+
     def test_all_outputs_feasible_and_sorted(self):
         seq = normalize((4, 1, 5, 2, 6, 3))
         sets = enumerate_feasible(seq, 3)
