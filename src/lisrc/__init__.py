@@ -40,10 +40,8 @@ from .piles import PileSystem, build_piles
 from .reconfig import (
     Answer,
     ReconfSequence,
-    decide,
     minimal_set,
     reconfigure,
-    witness,
 )
 from .seqcore import (
     FeasibleSet,
@@ -80,7 +78,6 @@ __all__ = [
     "build_graph",
     "build_piles",
     "build_reconfig_graph",
-    "decide",
     "enumerate_feasible",
     "find_forbidden_pair",
     "is_feasible",
@@ -92,5 +89,4 @@ __all__ = [
     "require_feasible",
     "shortest_sequence",
     "two_coloring",
-    "witness",
 ]

@@ -10,7 +10,7 @@ pattern); `decreasing_triple` finds one in O(n).
 and raises `TallPile` on a taller one.  A pile is a decreasing run, so
 bipartite graphs qualify, and so does `2 1 4 6 5 3`, whose piles hold two
 entries each beside the triple 6 5 3.
-There the walk that `witness` returns, down from I to I∧J and up to J, is
+There the walk of `reconfigure`, down from I to I∧J and up to J, is
 shortest, and a "forbidden pair" certifies NO.  Proof sketch:
 
 - Every depth is 0 or 1.  A clamped descent moves a pile only downward,
@@ -311,7 +311,7 @@ def shortest_sequence(
     Requires every pile to hold at most two entries.  A taller pile is a
     decreasing triple: once both sets are validated, TallPile is raised
     carrying `decreasing_triple`'s fixed one, the only time that scan
-    runs.  On YES the walk is `witness`'s (`reconfig._meet_walk`); on NO
+    runs.  On YES the walk is `reconfigure`'s (`reconfig._meet_walk`); on NO
     a forbidden pair is the certificate (NoSequence).  Both proofs are
     in the module docstring.
 

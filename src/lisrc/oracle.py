@@ -72,35 +72,31 @@ def enumerate_feasible(
 ) -> list[FeasibleSet]:
     """Every feasible set of the given cardinality, lexicographically sorted.
 
-    A depth-first search over increasing prefixes, trying indices in
-    ascending order, so the sets come out sorted.  The search keeps its
-    own stack, one index range per prefix member, so the prefix length
-    (up to n) is not bounded by Python's recursion limit.
+    The prefixes grow one member per level: each prefix of a level is
+    extended by every later index of larger value, ascending, so each
+    level stays sorted.  A prefix is the pair (last index, prefix before
+    it), ending at the sentinel (0, None), so an extension costs O(1) and
+    each set is read off its chain once, at the end.  Member m stops at
+    index n - size + m + 1, which leaves room for the members after it.
     """
     _check_bound(seq, bound)
     _require_count("set size", size)
-    if size == 0:
-        return [()]
-    perm, n = seq.perm, seq.n
+    value = (0, *seq.perm)
+    room = seq.n - size + 2
+    level: list = [(0, None)]
+    for m in range(size):
+        level = [
+            (i, prefix)
+            for prefix in level
+            for i in range(prefix[0] + 1, room + m)
+            if value[i] > value[prefix[0]]
+        ]
     out: list[FeasibleSet] = []
-    prefix: list[int] = []
-    # ranges[m]: the indices still to try at position m of the prefix,
-    # leaving enough positions after them to reach the target size.
-    ranges = [iter(range(1, n - size + 2))]
-    while ranges:
-        last_value = perm[prefix[-1] - 1] if prefix else 0
-        for i in ranges[-1]:
-            if perm[i - 1] > last_value:
-                if len(prefix) + 1 == size:
-                    out.append((*prefix, i))
-                    continue
-                prefix.append(i)
-                ranges.append(iter(range(i + 1, n - size + len(prefix) + 2)))
-                break
-        else:
-            ranges.pop()
-            if prefix:
-                prefix.pop()
+    for prefix in level:
+        members = [0] * size
+        for m in reversed(range(size)):
+            members[m], prefix = prefix
+        out.append(tuple(members))
     return out
 
 

@@ -35,8 +35,8 @@ of per-pile depths:
 
 `reconfigure` is the one query: it returns an `Answer`, which holds a
 walk when the representatives coincide and computes the representatives
-only when they are read; `decide` and `witness` read the walk.  The two
-sets of one query are validated by `require_pair`, built on
+only when they are read; callers read the walk off it.  The two sets of
+one query are validated by `require_pair`, built on
 `seqcore.require_feasible`.
 """
 from __future__ import annotations
@@ -394,8 +394,8 @@ def _meet_walk(
 def reconfigure(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> Answer:
     """Both representatives, and on YES a walk from I to J through I∧J.
 
-    The one computation behind `decide`, `witness` and the CLI, in four
-    steps, the first three in `_meet_walk`:
+    The one computation behind the CLI's `decide` and `witness`
+    subcommands, in four steps, the first three in `_meet_walk`:
 
     1. Place I and J on the piles once and take the meet I∧J, the
        per-pile minimum of their depths.
@@ -424,17 +424,3 @@ def reconfigure(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> An
     walk, end_i, end_j = _meet_walk(seq, ps, members_i, members_j)
     return Answer(walk, seq, ps, (end_i,) if walk is not None else (end_i, end_j))
 
-
-def decide(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> bool:
-    """Can `i_set` be transformed into `j_set` by single swaps?
-
-    True exactly when both descend to the same canonical representative.
-    """
-    return reconfigure(seq, i_set, j_set).walk is not None
-
-
-def witness(
-    seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]
-) -> ReconfSequence | None:
-    """A concrete swap sequence from `i_set` to `j_set`, if one exists."""
-    return reconfigure(seq, i_set, j_set).walk

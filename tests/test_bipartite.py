@@ -20,9 +20,9 @@ from lisrc import (
     is_feasible,
     mixed_piles,
     normalize,
+    reconfigure,
     shortest_sequence,
     two_coloring,
-    witness,
 )
 from lisrc.bipartite import (
     _dyck_to_permutation,
@@ -332,7 +332,7 @@ class TestShortestSequence:
 
     def test_walk_is_the_witness_walk(self):
         # Every 321-avoiding permutation of n <= 7 and every ordered pair of
-        # maximum sets: the shortest walk is `witness`'s walk through I∧J,
+        # maximum sets: the shortest walk is `reconfigure`'s walk through I∧J,
         # of length |I \ J|, and NoSequence comes exactly when it has none.
         yes = 0
         for n in range(1, 8):
@@ -342,7 +342,7 @@ class TestShortestSequence:
                 seq = normalize(raw)
                 maxima = bf.max_feasible_sets(raw)
                 for i_set, j_set in itertools.product(maxima, repeat=2):
-                    walk = witness(seq, i_set, j_set)
+                    walk = reconfigure(seq, i_set, j_set).walk
                     result = shortest_sequence(seq, i_set, j_set)
                     if walk is None:
                         assert isinstance(result, NoSequence)

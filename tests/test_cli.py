@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import os
 import random
@@ -9,7 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lisrc import (
     Bipartition,
@@ -22,9 +23,9 @@ from lisrc import (
     TallPile,
     normalize,
     oracle_shortest,
+    reconfigure,
     shortest_sequence,
     two_coloring,
-    witness,
 )
 import lisrc.cli
 import lisrc.reconfig
@@ -1018,8 +1019,12 @@ class TestWalkText:
     )
     def test_walk_matches_reference(self, capsys, files, command, name):
         seq, i_set, j_set = parse_instance(Path(files[name]).read_text())
-        solve = witness if command == "witness" else shortest_sequence
-        expected = ["YES", *bf.render_walk(solve(seq, i_set, j_set))]
+        walk = (
+            reconfigure(seq, i_set, j_set).walk
+            if command == "witness"
+            else shortest_sequence(seq, i_set, j_set)
+        )
+        expected = ["YES", *bf.render_walk(walk)]
         assert run([command, files[name]]) == 0
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
@@ -1067,7 +1072,7 @@ class TestWalkText:
             return removed, added
 
         monkeypatch.setattr(lisrc.reconfig, "_descend", counting)
-        rs = witness(seq, i_set, j_set)
+        rs = reconfigure(seq, i_set, j_set).walk
         assert moves[0] > 0 and (moves[1] > 0) == crossing
         assert len(rs) > (20 if crossing else 2000)
         assert run(["witness", str(path)]) == 0
@@ -1117,3 +1122,66 @@ class TestEnumerateDeep:
         assert payload["sets"] == [list(everything)]
         assert run(argv) == 0
         assert capsys.readouterr().out == bf.fmt_set(everything) + "\n"
+
+
+SPACES = [" ", "  ", "\xa0", "\u3000", "\t", "\f"]
+
+
+def spaced(tokens):
+    """One line of the tokens, each after a separator drawn from SPACES."""
+    return st.lists(
+        st.sampled_from(SPACES), min_size=len(tokens), max_size=len(tokens)
+    ).map(lambda spaces: "".join(map(str.__add__, spaces, tokens)))
+
+
+class TestAnyText:
+    """Whatever the instance text, `run` exits 0, 1 or 2 and raises nothing."""
+
+    TOKENS = ["1", "2", "3", "4", "5", "6", "0", "-1", "07", "x", "+2", "1_0"]
+    TOKENS += ["\u0661", "#", ""]
+    LINES = st.lists(
+        st.lists(st.sampled_from(TOKENS), max_size=6).flatmap(spaced), max_size=5
+    )
+    # The instance files and `gen` instances, spaced anew, so that some
+    # texts reach the queries' YES and NO.
+    INSTANCES = st.sampled_from(
+        [path.read_text() for path in sorted(DATA.glob("*.txt"))]
+    ) | st.builds(generate, st.integers(1, 8), st.integers(0, 99), st.booleans())
+    TEXTS = (
+        LINES
+        | INSTANCES.map(str.splitlines).flatmap(
+            lambda lines: st.tuples(*(spaced(line.split()) for line in lines))
+        )
+    ).map("\n".join)
+    COMMANDS = [
+        ["decide"],
+        ["witness"],
+        ["shortest"],
+        ["piles"],
+        ["graph"],
+        ["check"],
+        ["oracle"],
+        ["oracle", "--general"],
+        ["oracle", "--shortest"],
+        ["oracle", "--shortest", "--general"],
+        ["oracle", "--enumerate"],
+        ["oracle", "--dot"],
+    ]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        TEXTS,
+        st.sampled_from(COMMANDS),
+        st.sampled_from([[], ["--json"], ["--exit-status"]]),
+    )
+    def test_no_traceback(self, tmp_path_factory, text, command, flag):
+        path = tmp_path_factory.getbasetemp() / "any_text.txt"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = run([*command, *flag, str(path)])
+        assert status in (0, 1, 2)
+        if status == 2:
+            assert err.getvalue().startswith(("error: ", "usage: "))
+        else:
+            assert err.getvalue() == ""

@@ -14,15 +14,14 @@ from lisrc import (
     NotMaximum,
     SizeMismatch,
     build_piles,
-    decide,
     is_feasible,
     minimal_set,
     mixed_piles,
     normalize,
     oracle_shortest,
+    reconfigure,
     require_feasible,
     shortest_sequence,
-    witness,
 )
 from lisrc.reconfig import require_pair
 
@@ -31,8 +30,8 @@ from conftest import DETOUR
 
 # Each entry point as a function of (seq, I, J).
 PAIR_ENTRY_POINTS = {
-    "decide": decide,
-    "witness": witness,
+    # The yes/no answer, as `lisrc decide` computes it.
+    "decide": lambda seq, i, j: reconfigure(seq, i, j).walk is not None,
     "mixed_piles": lambda seq, i, j: mixed_piles(seq, build_piles(seq), i, j),
     "shortest_sequence": shortest_sequence,
     # The oracle's yes/no answer, as `lisrc oracle` computes it.
@@ -83,7 +82,7 @@ def test_unequal_sizes_mismatch_before_not_maximum(name):
     [
         require_feasible,
         is_feasible,
-        lambda seq, s: decide(seq, s, (1, 3, 5)),
+        lambda seq, s: reconfigure(seq, s, (1, 3, 5)).walk is not None,
         lambda seq, s: shortest_sequence(seq, s, (1, 3, 5)),
         lambda seq, s: oracle_shortest(seq, s, (1, 3, 5)) is not None,
     ],

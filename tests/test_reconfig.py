@@ -10,12 +10,10 @@ from lisrc import (
     ReconfSequence,
     SizeMismatch,
     build_piles,
-    decide,
     minimal_set,
     normalize,
     oracle_shortest,
     reconfigure,
-    witness,
 )
 import lisrc.reconfig
 from lisrc.cli import _render_walk
@@ -202,25 +200,25 @@ class TestPerPile:
 
 class TestDecide:
     def test_k22_no_instance(self):
-        assert decide(normalize(K22_NO[0]), K22_NO[1], K22_NO[2]) is False
+        assert reconfigure(normalize(K22_NO[0]), K22_NO[1], K22_NO[2]).walk is None
 
     def test_detour_instance(self):
         raw, i_set, j_set = DETOUR
-        assert decide(normalize(raw), i_set, j_set) is True
+        assert reconfigure(normalize(raw), i_set, j_set).walk is not None
 
     def test_identical_sets(self):
-        assert decide(normalize(K22_NO[0]), (3, 4), (3, 4)) is True
+        assert reconfigure(normalize(K22_NO[0]), (3, 4), (3, 4)).walk is not None
 
     def test_empty_sequence(self):
-        assert decide(normalize(()), (), ()) is True
+        assert reconfigure(normalize(()), (), ()).walk is not None
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
-            decide(normalize((1, 3, 2)), (1, 2), (1,))
+            reconfigure(normalize((1, 3, 2)), (1, 2), (1,))
 
     def test_rejects_non_maximum(self):
         with pytest.raises(NotMaximum):
-            decide(normalize(K22_NO[0]), (1,), (3,))
+            reconfigure(normalize(K22_NO[0]), (1,), (3,))
 
     def test_matches_connectivity_oracle(self):
         for raw, i_set, j_set in sample_instances(seed=53, rounds=150, max_n=9):
@@ -229,30 +227,29 @@ class TestDecide:
                 i_set in part and j_set in part
                 for part in bf.connectivity_partition(bf.max_feasible_sets(raw))
             )
-            assert decide(seq, i_set, j_set) == expected
+            assert (reconfigure(seq, i_set, j_set).walk is not None) == expected
 
 
 class TestWitness:
     def test_detour_instance(self):
         raw, i_set, j_set = DETOUR
-        rs = witness(normalize(raw), i_set, j_set)
+        rs = reconfigure(normalize(raw), i_set, j_set).walk
         assert len(rs) == 4
         assert rs.start == i_set and list(rs.sets())[-1] == j_set
 
     def test_identical_sets(self):
-        rs = witness(normalize(K22_NO[0]), (1, 2), (1, 2))
+        rs = reconfigure(normalize(K22_NO[0]), (1, 2), (1, 2)).walk
         assert rs.removed == rs.added == ()
         assert list(rs.sets()) == [(1, 2)]
 
     def test_no_instance(self):
-        assert witness(normalize(K22_NO[0]), (1, 2), (3, 4)) is None
+        assert reconfigure(normalize(K22_NO[0]), (1, 2), (3, 4)).walk is None
 
     def test_every_prefix_maximum_feasible(self):
         for raw, i_set, j_set in sample_instances(seed=61, rounds=150, max_n=10):
             seq = normalize(raw)
-            rs = witness(seq, i_set, j_set)
+            rs = reconfigure(seq, i_set, j_set).walk
             if rs is None:
-                assert decide(seq, i_set, j_set) is False
                 continue
             sets = list(rs.sets())
             assert sets[0] == i_set and sets[-1] == j_set
@@ -265,7 +262,7 @@ class TestWitness:
             for raw in itertools.permutations(range(1, n + 1)):
                 seq = normalize(raw)
                 for s in bf.max_feasible_sets(raw):
-                    rs = witness(seq, s, s)
+                    rs = reconfigure(seq, s, s).walk
                     assert rs.start == s and len(rs) == 0
 
     def test_exhaustive_agreement_through_the_meet(self):
@@ -330,17 +327,14 @@ class TestRepresentativesOnDemand:
     def test_descend_on_first_read_only(self, instance, yes, descents):
         raw, i_set, j_set = instance
         seq = normalize(raw)
-        assert decide(seq, i_set, j_set) is yes
-        assert descents["calls"] == 2
-        assert (witness(seq, i_set, j_set) is not None) is yes
-        assert descents["calls"] == 4
         answer = reconfigure(seq, i_set, j_set)
-        assert descents["calls"] == 6
+        assert (answer.walk is not None) is yes
+        assert descents["calls"] == 2
         representatives = answer.minimal_i, answer.minimal_j
         continuations = 1 if yes else 2
-        assert descents["calls"] == 6 + continuations
+        assert descents["calls"] == 2 + continuations
         assert (answer.minimal_i, answer.minimal_j) == representatives
-        assert descents["calls"] == 6 + continuations
+        assert descents["calls"] == 2 + continuations
         ps = build_piles(seq)
         assert representatives == (
             minimal_set(seq, ps, i_set)[0],
@@ -554,7 +548,7 @@ class TestReplay:
         raw = data.draw(SMALL_PERMS)
         maxima = st.sampled_from(bf.max_feasible_sets(raw))
         i_set, j_set = data.draw(maxima), data.draw(maxima)
-        rs = witness(normalize(raw), i_set, j_set)
+        rs = reconfigure(normalize(raw), i_set, j_set).walk
         if rs is not None:
             check_replay(rs)
             check_replay(data.draw(corrupted(rs)))
@@ -639,7 +633,7 @@ class TestRenderWalk:
     def test_witness_walks(self, data):
         raw = data.draw(SMALL_PERMS)
         maxima = st.sampled_from(bf.max_feasible_sets(raw))
-        rs = witness(normalize(raw), data.draw(maxima), data.draw(maxima))
+        rs = reconfigure(normalize(raw), data.draw(maxima), data.draw(maxima)).walk
         if rs is not None:
             check_render(data.draw(corrupted(rs)))
 
