@@ -1177,8 +1177,8 @@ class TestAnyText:
     def test_no_traceback(self, tmp_path_factory, text, command, flag):
         path = tmp_path_factory.getbasetemp() / "any_text.txt"
         path.write_text(text, encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             status = run([*command, *flag, str(path)])
         assert status in (0, 1, 2)
         if status == 2:
