@@ -11,12 +11,21 @@ too: `oracle --shortest --json` puts `length` before `steps`, `witness
 The descriptive subcommands (`piles`, `graph`, `check`, `oracle
 --enumerate` and `oracle --dot`) answer no YES/NO question; each case pins
 stdout, an empty stderr and exit 0 on the same two files.
+
+At the scale of the `long_descent` benchmark, where brute force cannot
+follow, `SCALE` pins `witness` and `decide --json` on four staircases by
+line count and sha256.
 """
+import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
-from lisrc.cli import run
+from lisrc import normalize
+from lisrc.cli import format_instance, run
+
+import bruteforce as bf
 
 DATA = Path(__file__).parent / "data"
 
@@ -180,3 +189,83 @@ def test_descriptive_bytes(capsys, command, name, stdout):
     status = run(command.split() + [str(DATA / f"{name}.txt")])
     assert capsys.readouterr() == (stdout, "")
     assert status == 0
+
+
+# The `long_descent` scale: 20-pile staircases of height 500.  Each case
+# pins `witness`'s line count and the sha256 of its stdout, and the sha256
+# of `decide --json`'s stdout (the representatives, so the descents from
+# I and J to the bottom row); all answer YES with an empty stderr.
+# (name, witness lines, witness sha256, decide --json sha256)
+SCALE = [
+    (
+        "reach-1",
+        3034,
+        "e2345c02eb7165076aeafcd33130d6278cf131b834ffd128f47fb52802910ef7",
+        "aee69511ad767d85cfe4b7c0894d7d707a56db7017579a8637936bb8bfc2d64e",
+    ),
+    (
+        "reach-2",
+        1821,
+        "87418256ce98157bb6c4cc07fc1c3e82499e85f2ddef4388a0aadc9d0e0b66c7",
+        "19f971256e33e512f98942c74dfdd7fb1bd1e6a2b0ca9fb1f95827bd7066b821",
+    ),
+    (
+        "reach-5",
+        146,
+        "aab5a10afb831b093486431e7e803e9caefa31a0e5bb2d0fcc929f08a68cfaca",
+        "168a097722eb171e7b7d5b3a36b1e95b8cde24965f63f85c310d676ab2cfa5e5",
+    ),
+    (
+        "crossing",
+        41,
+        "4517dd9a2dc45f7426e2c44c81d93dbec3ad66ca11a1517ef9da075d8fb17e68",
+        "aee69511ad767d85cfe4b7c0894d7d707a56db7017579a8637936bb8bfc2d64e",
+    ),
+]
+
+
+def staircase_instance(name: str) -> str:
+    """The instance text of a `SCALE` case.
+
+    For `reach-r`, I and J are two `bf.staircase_set` draws from
+    `random.Random(r)` on `bf.staircase(20, 500, r)`.  The crossing pair
+    is that of `test_cli.py`'s `test_walk_at_workload_scale`: J near
+    mid-height and I its depths in reverse order, so each lies above the
+    other on some pile and both clamped halves of the witness move.
+    """
+    if name.startswith("reach-"):
+        reach = int(name.removeprefix("reach-"))
+        raw, grid = bf.staircase(20, 500, reach)
+        rng = random.Random(reach)
+        i_set, j_set = (bf.staircase_set(grid, reach, rng) for _ in range(2))
+        return format_instance(normalize(raw), i_set, j_set)
+    raw, grid = bf.staircase(20, 500)
+    rng = random.Random(20)
+    depth = rng.randrange(230, 270)
+    j_depths = []
+    for _ in grid:
+        j_depths.append(depth)
+        depth += rng.choice((-1, 0, 1))
+    i_set, j_set = (
+        tuple(row[d] for row, d in zip(grid, depths))
+        for depths in (j_depths[::-1], j_depths)
+    )
+    return format_instance(normalize(raw), i_set, j_set)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, lines, witness, decide", SCALE, ids=[name for name, *_ in SCALE]
+)
+def test_scale_digests(tmp_path, capsys, name, lines, witness, decide):
+    path = tmp_path / "stairs.txt"
+    path.write_text(staircase_instance(name))
+    assert run(["witness", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert (out.count("\n"), sha256(out), err) == (lines, witness, "")
+    assert run(["decide", "--json", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert (sha256(out), err) == (decide, "")
