@@ -11,9 +11,9 @@ A value or index is an optional `-` followed by ASCII digits; any
 whitespace separates them.  Lines end at `\\n`, `\\r\\n` or `\\r` only.
 The file is read as UTF-8, and a leading byte-order mark is ignored.
 
-Exit status is 0 on success and 2 on any error, a stdout whose reader
-has left included (that one without a message).  With --exit-status the
-yes/no subcommands instead report YES as 0 and NO as 1.
+Exit status is 0 on success and 2 on any error, a stdout closed before
+start or left by its reader included (that one without a message).  With
+--exit-status the yes/no subcommands instead report YES as 0 and NO as 1.
 """
 from __future__ import annotations
 
@@ -559,23 +559,34 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if sys.stdout is None:
+        # fd 1 was closed before start (`>&-`): write to a pipe nobody reads.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        sys.stdout = open(write_end, "w", encoding="utf-8")
     try:
         status = args.func(args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:
-        # The reader of stdout has left (`lisrc ... | head`): say nothing,
-        # and point stdout at the null device so that the interpreter's
-        # last flush of what is still buffered does not fail either.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        try:
-            os.dup2(devnull, sys.stdout.fileno())
-        finally:
-            os.close(devnull)
-        return 2
+        # The reader of stdout has left (`lisrc ... | head`): say nothing.
+        stream = sys.stdout
     except (LisrcError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            if sys.stderr is not None:
+                print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except OSError:  # stderr was closed before start (`2>&-`)
+            stream = sys.stderr
+    # The null device takes what the failed stream still buffers, so that
+    # the interpreter's last flush succeeds; it may get a closed fd's number.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, stream.fileno())
+    finally:
+        if devnull != stream.fileno():
+            os.close(devnull)
+    return 2
 
 
 def main() -> None:

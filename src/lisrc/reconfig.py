@@ -241,40 +241,34 @@ def _descend(
     Edits `chosen` and `depth` (as `_placed` builds them) in place to the
     fixed point and returns the removed and the added index of each move.
     The lowest pile id that admits a move goes first, to the lowest
-    reachable depth not below its floor (`_lowest_depth`).  A pile is
-    dirty when it may admit a move: at the start every pile above its
-    floor, later a neighbour of a pile that moved, if above its floor.  A
-    clean pile admits no move, since it was examined or moved and no
-    neighbour moved since.  A cursor stands at the lowest dirty pile, and
-    every pile left of it is clean.  A move at pile t can dirty only
-    t - 1 and t + 1, so the cursor steps back to t - 1 when that one is
-    dirty and otherwise scans forward from t + 1 (`list.index`).  It
-    steps back at most once per move, so scheduling costs O(k + moves),
-    and an examination clears its pile's flag, so at most k + 2·moves
-    examinations happen.  An examination first tests the one entry just
-    below the member in O(1): by `_lowest_depth`'s suffix argument, when
-    that entry does not fit no deeper one does, and when it fits the
-    search finds a move.  So every O(log n) search moves a pile, and the
-    descent costs O(k + moves·log n).  The last pile, k = len(piles) - 1,
-    has the value n + 1 as its bound on the right.
+    reachable depth not below its floor (`_lowest_depth`).  A cursor
+    sweeps the piles from pile 1, and no pile left of it admits a move.
+    A move changes the room of its two neighbours only, and the pile
+    itself cannot move again until one of them does, so after a move the
+    cursor steps back one pile (not below 1), and otherwise forward: at
+    most k + 2·moves examinations.  An examination first tests the one
+    entry just below the member in O(1): by `_lowest_depth`'s suffix
+    argument, when that entry does not fit no deeper one does, and when
+    it fits the search finds a move.  So every O(log n) search moves a
+    pile, and the descent costs O(k + moves·log n).  The last pile,
+    k = len(piles) - 1, has the value n + 1 as its bound on the right.
     """
     k = len(piles) - 1
     last_value = len(perm) + 1
     removed: list[int] = []
     added: list[int] = []
-    # Slot 0 is the sentinel pile, never dirty; slot k + 1 stops the scan.
-    dirty = [d > f for d, f in zip(depth, floor)]
-    dirty.append(True)
-    t = dirty.index(True, 1)
+    t = 1
     while t <= k:
-        dirty[t] = False
         d = depth[t]
+        if d <= floor[t]:
+            t += 1
+            continue
         pile_idx = piles[t]
         left_index = chosen[t - 1]
         right_value = perm[chosen[t + 1] - 1] if t < k else last_value
         below = pile_idx[d - 1]
         if below < left_index or perm[below - 1] > right_value:
-            t = dirty.index(True, t + 1)
+            t += 1
             continue
         lo = _lowest_depth(perm, pile_idx, left_index, right_value, d - 1, floor[t])
         u = pile_idx[lo]
@@ -282,14 +276,8 @@ def _descend(
         added.append(u)
         chosen[t] = u
         depth[t] = lo
-        # Only the two pile neighbors gain new room to move.
-        if t < k and depth[t + 1] > floor[t + 1]:
-            dirty[t + 1] = True
-        if depth[t - 1] > floor[t - 1]:
-            dirty[t - 1] = True
+        if t > 1:
             t -= 1
-        else:
-            t = dirty.index(True, t + 1)
     return removed, added
 
 

@@ -679,6 +679,44 @@ class TestRun:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (2, b"")
 
+    @staticmethod
+    def run_closed(redirect, *argv, cwd=None):
+        """Run lisrc with a descriptor closed the way the shell's `>&-` does."""
+        return subprocess.run(
+            ["bash", "-c", f'exec "$@" {redirect}', "-", *LISRC, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=LISRC_ENV,
+            cwd=cwd,
+            timeout=60,
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decide", "--exit-status", SHORT_PILES_FILE],
+            ["witness", DETOUR_FILE],
+            ["graph", K22_FILE],
+        ],
+        ids=["decide-yes", "witness", "graph"],
+    )
+    def test_stdout_closed_at_start(self, argv):
+        # Python starts with `sys.stdout` None; a YES must not read as NO.
+        done = self.run_closed(">&-", *argv)
+        assert (done.returncode, done.stderr) == (2, b"")
+
+    def test_gen_to_file_with_stdout_closed(self, tmp_path):
+        argv = ["gen", "-n", "5", "--seed", "3", "-o", "out.txt"]
+        done = self.run_closed(">&-", *argv, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert (tmp_path / "out.txt").read_text() == generate(5, 3)
+
+    def test_error_with_stderr_closed(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 2 3\n9\n1\n")
+        done = self.run_closed("2>&-", "decide", "--exit-status", str(bad))
+        assert (done.returncode, done.stdout) == (2, b"")
+
     def test_missing_file(self, capsys):
         assert run(["decide", "no-such-file.txt"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -456,6 +456,25 @@ class TestClampedDescentOrder:
         sets = [bf.staircase_set(grid, reach, rng) for _ in range(8)]
         assert self.check_pairs(raw, itertools.product(sets, repeat=2), halves) > 0
 
+    @pytest.mark.parametrize("reach", [1, 2, 5])
+    def test_examinations_at_scale(self, reach, halves):
+        # The `long_descent` scale, 20 piles of height 500, beyond brute
+        # force: the examination bound only, as `test_cli_golden.py`'s
+        # scale digests pin the order.
+        raw, grid = bf.staircase(20, 500, reach)
+        seq = normalize(raw)
+        ps = build_piles(seq)
+        rng = random.Random(reach)
+        sets = [bf.staircase_set(grid, reach, rng) for _ in range(16)]
+        both_move = 0
+        for i_set, j_set in itertools.product(sets, repeat=2):
+            halves.clear()
+            _meet_walk(seq, ps, i_set, j_set)
+            for removed, _, k, examined in halves:
+                assert examined <= k + 2 * len(removed)
+            both_move += all(removed for removed, *_ in halves)
+        assert both_move > 0
+
 
 class TestApplyStep:
     def test_swap(self):
