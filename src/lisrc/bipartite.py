@@ -35,8 +35,8 @@ shortest, and a "forbidden pair" certifies NO.  Proof sketch:
 
 No step uses more than the pile heights.  `shortest_sequence` costs
 O(n log n), all of it in pile dealing, and `two_coloring` O(n).
-`build_graph` costs O(n + m) for m edges and serves `lisrc graph` and
-the tests, not the queries.
+`build_graph` costs O(n + m) for m edges and serves the tests, not the
+queries.
 """
 from __future__ import annotations
 
@@ -63,13 +63,6 @@ class PermutationGraph:
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Each edge (i, j), i < j, in ascending order: a list holds the
-        earlier neighbours, then the later ones, each ascending."""
-        return [
-            (i, j) for i in range(1, self.n + 1) for j in self.adjacency[i] if i < j
-        ]
 
 
 @dataclass(frozen=True)
@@ -114,8 +107,8 @@ def build_graph(seq: Sequence) -> PermutationGraph:
     later ones are read off those lists in ascending order of position.
 
     >>> from lisrc.seqcore import normalize
-    >>> build_graph(normalize((7, 8, 5, 6))).edges()
-    [(1, 3), (1, 4), (2, 3), (2, 4)]
+    >>> build_graph(normalize((7, 8, 5, 6))).adjacency
+    ((), (3, 4), (3, 4), (1, 2), (1, 2))
     """
     n = seq.n
     position = [0] * (n + 1)

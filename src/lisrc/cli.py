@@ -1,4 +1,4 @@
-"""Command-line interface: instance files, subcommands, JSON and DOT output.
+"""Command-line interface: instance files, subcommands, text and JSON output.
 
 Instance file format, three data lines::
 
@@ -264,15 +264,6 @@ def _steps_json(rs: ReconfSequence) -> list[dict]:
     return [{"remove": r, "add": a} for r, a in zip(rs.removed, rs.added)]
 
 
-def _dot(name: str, labels: Iterable, edges: Iterable) -> str:
-    """An undirected DOT graph from its (vertex, label) pairs and its edges."""
-    lines = [f"graph {name} {{"]
-    lines += (f'  {v} [label="{label}"];' for v, label in labels)
-    lines += (f"  {u} -- {v};" for u, v in edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -375,36 +366,17 @@ def _cmd_piles(args) -> int:
     return 0
 
 
-def _cmd_graph(args) -> int:
-    seq, _, _ = parse_instance(_read_utf8(args.instance), require_sets=False)
-    g = bp.build_graph(seq)
-    if args.json:
-        print(json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]}))
-    else:
-        labels = ((v, f"{v} ({x})") for v, x in enumerate(seq.raw, 1))
-        print(_dot("G", labels, g.edges()), end="")
-    return 0
-
-
 def _cmd_oracle(args) -> int:
-    listing = "--dot" if args.dot else "--enumerate" if args.enumerate else ""
-    if args.dot and args.json:
-        raise LisrcError("oracle --dot prints DOT, not JSON: drop --json")
-    if listing and args.exit_status:
-        raise LisrcError(f"oracle {listing} has no YES or NO: drop --exit-status")
-    # The listings use the sets themselves; the queries validate them.
-    read = parse_instance if listing else read_instance
+    if args.enumerate and args.exit_status:
+        raise LisrcError("oracle --enumerate has no YES or NO: drop --exit-status")
+    # The listing uses the sets themselves; the queries validate them.
+    read = parse_instance if args.enumerate else read_instance
     seq, i_set, j_set = read(_read_utf8(args.instance))
     bound = args.max_oracle_n
     maximum_only = not args.general
-    if listing:
+    if args.enumerate:
         size = build_piles(seq).k if maximum_only else len(i_set)
         sets = orc.enumerate_feasible(seq, size, bound)
-        if args.dot:
-            graph = orc.build_reconfig_graph(sets)
-            labels = enumerate(map(_fmt_set, graph.nodes))
-            print(_dot("R", labels, graph.edges), end="")
-            return 0
         _emit(
             args,
             {"count": len(sets), "sets": [list(s) for s in sets]},
@@ -479,6 +451,17 @@ def _at_least(low: int):
     return flag
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help fails like any other output.
+
+    argparse ignores an OSError from writing the help, which would then
+    exit 0 unwritten; here the error reaches `run`.
+    """
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first call and then reused.
@@ -502,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query = (file_arg, json_arg, status_arg)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lisrc",
         description="Reconfiguration between longest increasing subsequences.",
     )
@@ -517,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("witness", _cmd_reconfigure, "print one reconfiguration sequence", *query)
     add("shortest", _cmd_shortest, "shortest sequence (piles at most 2 high)", *query)
     add("piles", _cmd_piles, "print the pile structure", file_arg, json_arg)
-    add("graph", _cmd_graph, "emit the permutation graph as DOT", file_arg, json_arg)
     add("check", _cmd_check, "validate an instance file", file_arg, json_arg)
 
     oracle_help = "brute-force reference answers (default: connectivity)"
@@ -532,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p_oracle.add_mutually_exclusive_group()
     mode.add_argument("--shortest", action="store_true", help="BFS shortest sequence")
     mode.add_argument("--enumerate", action="store_true", help="list feasible sets")
-    mode.add_argument("--dot", action="store_true", help="swap graph as DOT")
     p_oracle.add_argument(
         "--general",
         action="store_true",
@@ -555,17 +536,19 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     """Entry point returning the exit status; output goes to stdout/stderr."""
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     if sys.stdout is None:
-        # fd 1 was closed before start (`>&-`): write to a pipe nobody reads.
+        # fd 1 was closed before start (`>&-`): write to a pipe nobody
+        # reads.  Before parsing, so that `--help` writes there too.
         read_end, write_end = os.pipe()
         os.close(read_end)
         sys.stdout = open(write_end, "w", encoding="utf-8")
     try:
-        status = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # after `--help` or a usage error
+            status = int(exc.code or 0)
+        else:
+            status = args.func(args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -16,8 +16,9 @@ component, not to how far J lies from I.  The sets one drop away from a
 common (k - 1)-set are pairwise one swap apart, so the first state to
 drop into that (k - 1)-set discovers all of them, and later states skip
 it: each set is generated at most k times, not once per edge.
-`enumerate_feasible` and `build_reconfig_graph` materialise every set
-and every edge; they serve `lisrc oracle --enumerate` and `--dot`.
+`enumerate_feasible` materialises every set and serves
+`lisrc oracle --enumerate`; `build_reconfig_graph` materialises every
+edge and serves the tests.
 Every entry point is guarded by a size bound, because the number of
 feasible sets can grow exponentially; callers may raise the bound
 explicitly.

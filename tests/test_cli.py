@@ -415,7 +415,6 @@ class TestRun:
             ["check"],
             ["oracle", "--enumerate"],
             ["oracle", "--enumerate", "--general"],
-            ["oracle", "--dot"],
         ],
         ids=" ".join,
     )
@@ -435,11 +434,9 @@ class TestRun:
             ["shortest"],
             ["check"],
             ["piles"],
-            ["graph"],
             ["oracle"],
             ["oracle", "--shortest"],
             ["oracle", "--enumerate"],
-            ["oracle", "--dot"],
         ],
         ids=" ".join,
     )
@@ -565,22 +562,6 @@ class TestRun:
         assert run(["piles", K22_FILE]) == 0
         assert capsys.readouterr().out == "P0: 0(0)\nP1: 1(7) 3(5)\nP2: 2(8) 4(6)\n"
 
-    def test_graph_dot(self, capsys):
-        assert run(["graph", K22_FILE]) == 0
-        out = capsys.readouterr().out
-        assert out == (
-            "graph G {\n"
-            '  1 [label="1 (7)"];\n'
-            '  2 [label="2 (8)"];\n'
-            '  3 [label="3 (5)"];\n'
-            '  4 [label="4 (6)"];\n'
-            "  1 -- 3;\n"
-            "  1 -- 4;\n"
-            "  2 -- 3;\n"
-            "  2 -- 4;\n"
-            "}\n"
-        )
-
     def test_oracle_decide_default(self, capsys):
         assert run(["oracle", K22_FILE]) == 0
         assert capsys.readouterr().out == "NO\n"
@@ -594,25 +575,6 @@ class TestRun:
     def test_oracle_enumerate(self, capsys):
         assert run(["oracle", "--enumerate", K22_FILE]) == 0
         assert capsys.readouterr().out == "{1,2}\n{3,4}\n"
-
-    def test_oracle_dot(self, capsys):
-        assert run(["oracle", "--dot", K22_FILE]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("graph R {") and '[label="{1,2}"]' in out
-        assert run(["oracle", "--dot", DETOUR_FILE]) == 0
-        assert capsys.readouterr().out == (
-            "graph R {\n"
-            '  0 [label="{1,3,5}"];\n'
-            '  1 [label="{2,3,5}"];\n'
-            '  2 [label="{2,4,5}"];\n'
-            '  3 [label="{2,4,7}"];\n'
-            '  4 [label="{2,6,7}"];\n'
-            "  0 -- 1;\n"
-            "  1 -- 2;\n"
-            "  2 -- 3;\n"
-            "  3 -- 4;\n"
-            "}\n"
-        )
 
     def test_oracle_general_flag(self, tmp_path, capsys):
         path = tmp_path / "gen.txt"
@@ -663,6 +625,22 @@ class TestRun:
         proc.stderr.close()
         assert (proc.wait(timeout=60), err) == (2, b"")
 
+    def test_unbuffered_help_into_a_pipe_nobody_reads(self):
+        # The help's one write fails inside argparse, which ignores it.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [*LISRC, "--help"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**LISRC_ENV, "PYTHONUNBUFFERED": "1"},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (2, b"")
+
     def test_stdout_closed_before_start(self):
         # A short answer into a pipe nobody reads fails at the final flush.
         read_end, write_end = os.pipe()
@@ -696,12 +674,15 @@ class TestRun:
         [
             ["decide", "--exit-status", SHORT_PILES_FILE],
             ["witness", DETOUR_FILE],
-            ["graph", K22_FILE],
+            ["piles", K22_FILE],
+            ["--help"],
+            ["decide", "--help"],
         ],
-        ids=["decide-yes", "witness", "graph"],
+        ids=["decide-yes", "witness", "piles", "help", "decide-help"],
     )
     def test_stdout_closed_at_start(self, argv):
-        # Python starts with `sys.stdout` None; a YES must not read as NO.
+        # Python starts with `sys.stdout` None; a YES must not read as NO,
+        # and argparse must not print the help on stderr instead.
         done = self.run_closed(">&-", *argv)
         assert (done.returncode, done.stderr) == (2, b"")
 
@@ -781,6 +762,22 @@ class TestRun:
     def test_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
         assert run([]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["graph"], ["oracle", "--dot"], ["oracle", "--dot", "--json"]],
+        ids=" ".join,
+    )
+    def test_graph_output_is_gone(self, capsys, argv):
+        # Neither the permutation graph nor the swap graph is printed.
+        assert run([*argv, K22_FILE]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: lisrc")
+
+    def test_help_goes_to_stdout(self, capsys):
+        assert run(["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: lisrc") and err == ""
 
     def test_oracle_bound_env(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "wide.txt"
@@ -864,7 +861,7 @@ def write_pairs(path, n):
 class TestFlagMatrix:
     """Each flag is accepted by exactly the subcommands that read it."""
 
-    ON_FILES = ["decide", "witness", "shortest", "piles", "graph", "check", "oracle"]
+    ON_FILES = ["decide", "witness", "shortest", "piles", "check", "oracle"]
     OPERANDS = {**dict.fromkeys(ON_FILES, [K22_FILE]), "gen": ["-n", "5"]}
     READ_BY = {
         "--json": set(ON_FILES),
@@ -901,21 +898,16 @@ class TestFlagMatrix:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--dot", "--json"], "oracle --dot prints DOT, not JSON: drop --json"),
             (
                 ["--enumerate", "--exit-status"],
                 "oracle --enumerate has no YES or NO: drop --exit-status",
             ),
-            (
-                ["--dot", "--exit-status"],
-                "oracle --dot has no YES or NO: drop --exit-status",
-            ),
         ],
-        ids=["--dot --json", "--enumerate --exit-status", "--dot --exit-status"],
+        ids=["--enumerate --exit-status"],
     )
     def test_oracle_listing_rejects_unread_flag(self, capsys, flags, message):
-        # The parser accepts each flag alone; the listing modes cannot read
-        # these, so the pair is an error rather than silently ignored.
+        # The parser accepts each flag alone; the listing cannot read it,
+        # so the pair is an error rather than silently ignored.
         assert run(["oracle", *flags, K22_FILE]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -1196,14 +1188,12 @@ class TestAnyText:
         ["witness"],
         ["shortest"],
         ["piles"],
-        ["graph"],
         ["check"],
         ["oracle"],
         ["oracle", "--general"],
         ["oracle", "--shortest"],
         ["oracle", "--shortest", "--general"],
         ["oracle", "--enumerate"],
-        ["oracle", "--dot"],
     ]
 
     @settings(max_examples=400, deadline=None)

@@ -8,9 +8,9 @@ the exit status, which is 0 unless `--exit-status` asks for 0 on YES and
 too: `oracle --shortest --json` puts `length` before `steps`, `witness
 --json` puts `steps` before `length`.
 
-The descriptive subcommands (`piles`, `graph`, `check`, `oracle
---enumerate` and `oracle --dot`) answer no YES/NO question; each case pins
-stdout, an empty stderr and exit 0 on the same two files.
+The descriptive subcommands (`piles`, `check` and `oracle --enumerate`)
+answer no YES/NO question; each case pins stdout, an empty stderr and
+exit 0 on the same two files.
 
 At the scale of the `long_descent` benchmark, where brute force cannot
 follow, `SCALE` pins `witness` and `decide --json` on four staircases by
@@ -103,12 +103,6 @@ def test_golden_bytes(capsys, command, name, stdout, yes, exit_status):
     assert status == (0 if yes or not exit_status else 1)
 
 
-DOT_R_BIP = (
-    'graph R {\n  0 [label="{1,3}"];\n  1 [label="{1,4}"];\n'
-    '  2 [label="{2,3}"];\n  3 [label="{2,4}"];\n'
-    "  0 -- 1;\n  0 -- 2;\n  1 -- 3;\n  2 -- 3;\n}\n"
-)
-DOT_R_K22 = 'graph R {\n  0 [label="{1,2}"];\n  1 [label="{3,4}"];\n}\n'
 SETS_BIP = "{1,3}\n{1,4}\n{2,3}\n{2,4}\n"
 SETS_BIP_JSON = '{"count": 4, "sets": [[1, 3], [1, 4], [2, 3], [2, 4]]}\n'
 SETS_K22 = "{1,2}\n{3,4}\n"
@@ -122,13 +116,6 @@ DESCRIPTIVE = [
         "bip",
         '{"k": 2, "piles": [[[0, 0]], [[1, 2], [2, 1]], [[3, 4], [4, 3]]]}\n',
     ),
-    (
-        "graph",
-        "bip",
-        'graph G {\n  1 [label="1 (2)"];\n  2 [label="2 (1)"];\n'
-        '  3 [label="3 (4)"];\n  4 [label="4 (3)"];\n  1 -- 2;\n  3 -- 4;\n}\n',
-    ),
-    ("graph --json", "bip", '{"n": 4, "edges": [[1, 2], [3, 4]]}\n'),
     (
         "check",
         "bip",
@@ -145,22 +132,12 @@ DESCRIPTIVE = [
     ("oracle --enumerate --json", "bip", SETS_BIP_JSON),
     ("oracle --enumerate --general", "bip", SETS_BIP),
     ("oracle --enumerate --general --json", "bip", SETS_BIP_JSON),
-    ("oracle --dot", "bip", DOT_R_BIP),
-    ("oracle --dot --general", "bip", DOT_R_BIP),
     ("piles", "k22", "P0: 0(0)\nP1: 1(7) 3(5)\nP2: 2(8) 4(6)\n"),
     (
         "piles --json",
         "k22",
         '{"k": 2, "piles": [[[0, 0]], [[1, 7], [3, 5]], [[2, 8], [4, 6]]]}\n',
     ),
-    (
-        "graph",
-        "k22",
-        'graph G {\n  1 [label="1 (7)"];\n  2 [label="2 (8)"];\n'
-        '  3 [label="3 (5)"];\n  4 [label="4 (6)"];\n'
-        "  1 -- 3;\n  1 -- 4;\n  2 -- 3;\n  2 -- 4;\n}\n",
-    ),
-    ("graph --json", "k22", '{"n": 4, "edges": [[1, 3], [1, 4], [2, 3], [2, 4]]}\n'),
     (
         "check",
         "k22",
@@ -177,8 +154,6 @@ DESCRIPTIVE = [
     ("oracle --enumerate --json", "k22", SETS_K22_JSON),
     ("oracle --enumerate --general", "k22", SETS_K22),
     ("oracle --enumerate --general --json", "k22", SETS_K22_JSON),
-    ("oracle --dot", "k22", DOT_R_K22),
-    ("oracle --dot --general", "k22", DOT_R_K22),
 ]
 
 
