@@ -35,8 +35,14 @@ shortest, and a "forbidden pair" certifies NO.  Proof sketch:
 
 No step uses more than the pile heights.  `shortest_sequence` costs
 O(n log n), all of it in pile dealing, and `two_coloring` O(n).
-`build_graph` costs O(n + m) for m edges and serves the tests, not the
-queries.
+`build_graph` costs O(n + m) for m edges.
+
+`shortest_sequence` is the query; `find_forbidden_pair` serves it, and
+`random_321_avoiding` serves `lisrc gen --bipartite`.  `build_graph`,
+`two_coloring` and `mixed_piles`, with `PermutationGraph`,
+`Bipartition` and `NotBipartite`, serve only the tests and the
+benchmark's span tracer, which patches them by name here, as it does
+the bare re-import of `is_feasible`.
 """
 from __future__ import annotations
 

@@ -47,20 +47,14 @@ _JSON_LINE = re.compile(r"[0-9 -]*")
 # Instance files
 
 
-def parse_instance(
-    text: str, require_sets: bool = True
-) -> tuple[Sequence, FeasibleSet | None, FeasibleSet | None]:
+def parse_instance(text: str) -> tuple[Sequence, FeasibleSet, FeasibleSet]:
     """Read and validate an instance; see the module docstring for the format.
 
     `read_instance`, then `require_feasible` on each set, so each set is
     validated once: the CLI's query subcommands call `read_instance`
-    alone and leave the check to the query.  With require_sets=False a
-    lone sequence line is accepted and the two set slots come back as
-    None.
+    alone and leave the check to the query.
     """
-    seq, i_set, j_set = read_instance(text, require_sets)
-    if i_set is None:
-        return seq, None, None
+    seq, i_set, j_set = read_instance(text)
     return seq, require_feasible(seq, i_set), require_feasible(seq, j_set)
 
 
@@ -214,22 +208,19 @@ def _fmt_set(s: Iterable[int]) -> str:
     return "{" + ",".join(str(i) for i in s) + "}"
 
 
-def _render_walk(rs: ReconfSequence, swaps: bool = True) -> Iterator[str]:
-    """The text walk line by line: the start set, then one line per swap.
+def _render_walk(rs: ReconfSequence) -> Iterator[str]:
+    """The text walk of a walk between maximum sets, line by line.
 
-    A swap line reads `swap a -> b: {set after}`, or with swaps=False just
-    `{set after}`.  Lazy, so the JSON path never renders the walk and the
-    text path holds one set at a time.  The set's line is kept as one
-    string, and the label strings of the members in a list parallel to
-    the sorted members of the walk's replay, edited at the same slots, so
-    each index is formatted once when it enters the set.  A step that
-    keeps its slot, as every step between maximum sets does, edits the
-    line with one `str.replace` of the old label by the new one, each
-    with its delimiters around it (`{` or `,` before, `,` or `}` after):
-    the members are distinct, so that needle occurs once.  A step that
-    changes slot joins the labels again.  Either way a line costs O(k),
-    the size of its text, in C string routines.  A step that does not
-    apply raises ValueError.
+    The start set, then `swap a -> b: {set after}` per step.  Lazy, so the
+    JSON path never renders the walk and the text path holds one line at
+    a time.  Every step between maximum sets keeps its slot (the new
+    member stays on the same pile), so each line is the one before with
+    one `str.replace` of the old label by the new one, each with its
+    delimiters around it (`{` or `,` before, `,` or `}` after): the
+    members are distinct, so that needle occurs once, and a line costs
+    O(k), the size of its text, in C string routines.  A step that does
+    not apply, or that changes slot, raises ValueError after the lines
+    before it.
 
     >>> walk = ReconfSequence(start=(1, 3), removed=(1, 3), added=(2, 4))
     >>> for line in _render_walk(walk):
@@ -237,26 +228,18 @@ def _render_walk(rs: ReconfSequence, swaps: bool = True) -> Iterator[str]:
     {1,3}
     swap 1 -> 2: {2,3}
     swap 3 -> 4: {2,4}
-    >>> list(_render_walk(walk, swaps=False))
-    ['{1,3}', '{2,3}', '{2,4}']
     """
-    labels = list(map(str, sorted(rs.start)))
-    text = "{" + ",".join(labels) + "}"
+    text = _fmt_set(sorted(rs.start))
     yield text
-    last = len(labels) - 1
-    for cur, i, j in rs._replay():
-        label = str(cur[j])
-        if i == j:
-            gone = labels[i]
-            labels[i] = label
-            before = "{" if i == 0 else ","
-            after = "}" if i == last else ","
-            text = text.replace(f"{before}{gone}{after}", f"{before}{label}{after}", 1)
-        else:
-            gone = labels.pop(i)
-            labels.insert(j, label)
-            text = "{" + ",".join(labels) + "}"
-        yield f"swap {gone} -> {label}: {text}" if swaps else text
+    last = len(rs.start) - 1
+    for (_, i, j), remove, add in zip(rs._replay(), rs.removed, rs.added):
+        if i != j:
+            raise ValueError(f"swap {remove} -> {add} moves from slot {i} to {j}")
+        gone, label = str(remove), str(add)
+        before = "{" if i == 0 else ","
+        after = "}" if i == last else ","
+        text = text.replace(f"{before}{gone}{after}", f"{before}{label}{after}", 1)
+        yield f"swap {gone} -> {label}: {text}"
 
 
 def _steps_json(rs: ReconfSequence) -> list[dict]:
@@ -353,7 +336,10 @@ def _cmd_shortest(args) -> int:
 
 
 def _cmd_piles(args) -> int:
-    seq, _, _ = parse_instance(_read_utf8(args.instance), require_sets=False)
+    seq, i_set, j_set = read_instance(_read_utf8(args.instance), require_sets=False)
+    if i_set is not None:  # the sets are optional here, but checked when given
+        require_feasible(seq, i_set)
+        require_feasible(seq, j_set)
     ps = build_piles(seq)
     # Each entry as [index, raw value]; the sentinel shows as 0(0).
     value = (0, *seq.raw)
@@ -387,7 +373,7 @@ def _cmd_oracle(args) -> int:
     if rs is None or not args.shortest:
         yes = rs is not None
         return _answer(args, yes, {}, ["YES" if yes else "NO"])
-    lines = chain([str(len(rs))], _render_walk(rs, swaps=False))
+    lines = chain([str(len(rs))], map(_fmt_set, rs.sets()))
     return _answer(args, True, {"length": len(rs)}, lines, rs)
 
 

@@ -18,7 +18,8 @@ drop into that (k - 1)-set discovers all of them, and later states skip
 it: each set is generated at most k times, not once per edge.
 `enumerate_feasible` materialises every set and serves
 `lisrc oracle --enumerate`; `build_reconfig_graph` materialises every
-edge and serves the tests.
+edge, and it and `ReconfGraph` serve only the tests and the benchmark's
+span tracer.
 Every entry point is guarded by a size bound, because the number of
 feasible sets can grow exponentially; callers may raise the bound
 explicitly.

@@ -37,7 +37,8 @@ of per-pile depths:
 walk when the representatives coincide and computes the representatives
 only when they are read; callers read the walk off it.  The two sets of
 one query are validated by `require_pair`, built on
-`seqcore.require_feasible`.
+`seqcore.require_feasible`.  `minimal_set`, the descent of one set,
+serves only the tests and the benchmark's span tracer.
 """
 from __future__ import annotations
 

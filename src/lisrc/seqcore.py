@@ -13,6 +13,10 @@ before touching the set, so each set is validated once per request: the
 CLI's query subcommands pass the sets as read and leave the check to the
 query.  The longest increasing subsequence length is
 `piles.build_piles(seq).k`.
+
+`is_feasible`, the `Infeasible` check as a boolean (it still raises
+`IndexOutOfRange`), serves only the tests and the benchmark's span
+tracer, which patches it where `reconfig` and `bipartite` re-import it.
 """
 from __future__ import annotations
 

@@ -13,18 +13,18 @@ from pathlib import Path
 from lisrc import (
     NoSequence,
     ReconfSequence,
-    build_graph,
     build_piles,
-    build_reconfig_graph,
     enumerate_feasible,
-    minimal_set,
     normalize,
     oracle_shortest,
     reconfigure,
     shortest_sequence,
 )
+from lisrc.bipartite import build_graph
 from lisrc.cli import format_instance, generate, parse_instance, run
+from lisrc.oracle import build_reconfig_graph
 from lisrc.piles import random_max_sets
+from lisrc.reconfig import minimal_set
 
 import bruteforce as bf
 from conftest import K22_NO, DETOUR, DETOUR_WALK

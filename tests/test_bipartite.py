@@ -6,30 +6,30 @@ from collections import Counter
 import pytest
 
 from lisrc import (
-    Bipartition,
     MixedPile,
     NoSequence,
-    NotBipartite,
     NotMaximum,
     ReconfSequence,
     SizeMismatch,
     TallPile,
-    build_graph,
     build_piles,
-    find_forbidden_pair,
-    is_feasible,
-    mixed_piles,
     normalize,
     reconfigure,
     shortest_sequence,
-    two_coloring,
 )
 from lisrc.bipartite import (
+    Bipartition,
+    NotBipartite,
     _dyck_to_permutation,
     _rotate_to_dyck,
+    build_graph,
     decreasing_triple,
+    find_forbidden_pair,
+    mixed_piles,
     random_321_avoiding,
+    two_coloring,
 )
+from lisrc.seqcore import is_feasible
 
 import bruteforce as bf
 from conftest import BIP, K22_NO, DETOUR

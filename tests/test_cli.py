@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lisrc import (
-    Bipartition,
     DuplicateValue,
     IndexOutOfRange,
     Infeasible,
@@ -25,18 +24,18 @@ from lisrc import (
     oracle_shortest,
     reconfigure,
     shortest_sequence,
-    two_coloring,
 )
 import lisrc.cli
 import lisrc.reconfig
 import lisrc.seqcore
-from lisrc.bipartite import decreasing_triple
+from lisrc.bipartite import Bipartition, decreasing_triple, two_coloring
 from lisrc.cli import (
     _int_tokens,
     build_parser,
     format_instance,
     generate,
     parse_instance,
+    read_instance,
     run,
 )
 
@@ -240,7 +239,7 @@ class TestParseInstance:
         assert info.value.pair == (1, 3)
 
     def test_sequence_only(self):
-        seq, i_set, j_set = parse_instance("7 8 5 6\n", require_sets=False)
+        seq, i_set, j_set = read_instance("7 8 5 6\n", require_sets=False)
         assert seq.raw == (7, 8, 5, 6) and i_set is None and j_set is None
 
     def test_round_trip(self):
@@ -561,6 +560,42 @@ class TestRun:
     def test_piles_output(self, capsys):
         assert run(["piles", K22_FILE]) == 0
         assert capsys.readouterr().out == "P0: 0(0)\nP1: 1(7) 3(5)\nP2: 2(8) 4(6)\n"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("", 1), ("# only a comment\n\n  \n# and another\n", 5)],
+        ids=["empty", "comments"],
+    )
+    def test_piles_needs_a_sequence_line(self, text, line, tmp_path, capsys):
+        path = tmp_path / "no_data.txt"
+        path.write_text(text)
+        assert run(["piles", str(path)]) == 2
+        err = f"error: line {line}, column 1: expected a sequence line\n"
+        assert capsys.readouterr() == ("", err)
+
+    def test_piles_of_a_lone_sequence(self, tmp_path, capsys):
+        path = tmp_path / "sequence.txt"
+        path.write_text("7 8 5 6\n")
+        assert run(["piles", str(path)]) == 0
+        assert capsys.readouterr() == ("P0: 0(0)\nP1: 1(7) 3(5)\nP2: 2(8) 4(6)\n", "")
+
+    @pytest.mark.parametrize(
+        "sets, err",
+        [
+            (
+                "1 3\n3 4\n",
+                "index set not increasing: positions 1 < 3 but values 7 > 5",
+            ),
+            ("1 2\n3 9\n", "index 9 out of range 1..4"),
+        ],
+        ids=["infeasible-i", "out-of-range-j"],
+    )
+    def test_piles_checks_the_sets_it_is_given(self, sets, err, tmp_path, capsys):
+        # The sets may be left out, but sets that are there must be valid.
+        path = tmp_path / "piles.txt"
+        path.write_text("7 8 5 6\n" + sets)
+        assert run(["piles", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
     def test_oracle_decide_default(self, capsys):
         assert run(["oracle", K22_FILE]) == 0

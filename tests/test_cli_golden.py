@@ -6,7 +6,8 @@ with and without `--general`.  Each case pins stdout, an empty stderr and
 the exit status, which is 0 unless `--exit-status` asks for 0 on YES and
 1 on NO; stdout is the same either way.  Key order in the JSON is pinned
 too: `oracle --shortest --json` puts `length` before `steps`, `witness
---json` puts `steps` before `length`.
+--json` puts `steps` before `length`.  `cross_slot.txt` pins `oracle
+--shortest --general` on a walk whose step changes slot.
 
 The descriptive subcommands (`piles`, `check` and `oracle --enumerate`)
 answer no YES/NO question; each case pins stdout, an empty stderr and
@@ -89,6 +90,9 @@ GOLDEN = [
     ("oracle --shortest --json", "k22", '{"answer": "no"}\n', False),
     ("oracle --shortest --general", "k22", "NO\n", False),
     ("oracle --shortest --general --json", "k22", '{"answer": "no"}\n', False),
+    # One step of this walk between non-maximum sets drops 1 from slot 0
+    # and puts 3 into slot 1.
+    ("oracle --shortest --general", "cross_slot", "1\n{1,2}\n{2,3}\n", True),
 ]
 
 

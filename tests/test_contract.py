@@ -14,16 +14,15 @@ from lisrc import (
     NotMaximum,
     SizeMismatch,
     build_piles,
-    is_feasible,
-    minimal_set,
-    mixed_piles,
     normalize,
     oracle_shortest,
     reconfigure,
     require_feasible,
     shortest_sequence,
 )
-from lisrc.reconfig import require_pair
+from lisrc.bipartite import mixed_piles
+from lisrc.reconfig import minimal_set, require_pair
+from lisrc.seqcore import is_feasible
 
 import bruteforce as bf
 from conftest import DETOUR

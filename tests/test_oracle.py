@@ -10,13 +10,13 @@ from lisrc import (
     NotMaximum,
     SizeMismatch,
     TooLarge,
-    build_reconfig_graph,
     enumerate_feasible,
-    is_feasible,
     normalize,
     oracle_shortest,
 )
 from lisrc.cli import run
+from lisrc.oracle import build_reconfig_graph
+from lisrc.seqcore import is_feasible
 
 import bruteforce as bf
 from conftest import K22_NO, DETOUR

@@ -12,11 +12,11 @@ from lisrc import (
     PileSystem,
     build_piles,
     enumerate_feasible,
-    minimal_set,
-    mixed_piles,
     normalize,
 )
+from lisrc.bipartite import mixed_piles
 from lisrc.piles import random_max_sets
+from lisrc.reconfig import minimal_set
 
 import bruteforce as bf
 from conftest import BIP, K22_NO, DETOUR

@@ -10,14 +10,13 @@ from lisrc import (
     ReconfSequence,
     SizeMismatch,
     build_piles,
-    minimal_set,
     normalize,
     oracle_shortest,
     reconfigure,
 )
 import lisrc.reconfig
-from lisrc.cli import _render_walk
-from lisrc.reconfig import _meet_walk, _placed
+from lisrc.cli import _fmt_set, _render_walk
+from lisrc.reconfig import _meet_walk, _placed, minimal_set
 
 import bruteforce as bf
 from conftest import K22_NO, DETOUR
@@ -621,17 +620,32 @@ class TestReplay:
             next(sets)
 
 
-def check_render(rs, swaps=True):
-    """`_render_walk` yields `bf.render_walk`'s lines for the steps that
-    apply, or with swaps=False the sets alone, then raises the replay's
-    error at the first step that does not apply."""
+def check_render(rs, swap_lines=True):
+    """The CLI's text walk of `rs` against the reference rendering.
+
+    With swap_lines, `_render_walk`: `bf.render_walk`'s lines for the
+    steps that apply and keep their slot, then ValueError at the first
+    step that does not apply (the replay's error) or that changes slot.
+    Without, the oracle's lines, `_fmt_set` of each set of `rs.sets()`:
+    every set up to the first step that does not apply, across slots
+    too, then the replay's error.
+    """
     sets, error = replay_outcome(bf.replay_sets(rs))
-    applied = len(sets) - 1
+    if not swap_lines:
+        expected = list(map(bf.fmt_set, sets))
+        assert replay_outcome(map(_fmt_set, rs.sets())) == (expected, error)
+        return
+    kept = 0
+    for remove, add, before, after in zip(rs.removed, rs.added, sets, sets[1:]):
+        i, j = before.index(remove), after.index(add)
+        if i != j:
+            error = f"swap {remove} -> {add} moves from slot {i} to {j}"
+            break
+        kept += 1
     prefix = ReconfSequence(
-        start=rs.start, removed=rs.removed[:applied], added=rs.added[:applied]
+        start=rs.start, removed=rs.removed[:kept], added=rs.added[:kept]
     )
-    expected = bf.render_walk(prefix)[1:] if swaps else list(map(bf.fmt_set, sets))
-    assert replay_outcome(_render_walk(rs, swaps)) == (expected, error)
+    assert replay_outcome(_render_walk(rs)) == (bf.render_walk(prefix)[1:], error)
 
 
 # Members whose labels hold one another: 1, 11 and 111 start and end the
@@ -665,16 +679,18 @@ class TestRenderWalk:
         i_set, j_set = data.draw(sets), data.draw(sets)
         rs = oracle_shortest(normalize(raw), i_set, j_set, maximum_only=False)
         if rs is not None:
-            check_render(data.draw(corrupted(rs)))
+            rs = data.draw(corrupted(rs))
+            check_render(rs, swap_lines=False)
+            check_render(rs)
 
     @UNTIMED
     @given(random_walks(AFFIX_MEMBERS, max_size=3), st.booleans())
-    def test_labels_inside_other_labels(self, rs, swaps):
+    def test_labels_inside_other_labels(self, rs, swap_lines):
         # Sets of 0 to 3 members, steps within and across slots, and
         # steps that do not apply.
-        check_render(rs, swaps)
+        check_render(rs, swap_lines)
 
-    @pytest.mark.parametrize("swaps", [True, False])
+    @pytest.mark.parametrize("swap_lines", [True, False])
     @pytest.mark.parametrize(
         "start, removed, added",
         [
@@ -688,5 +704,6 @@ class TestRenderWalk:
         ],
         ids=["k0", "k1", "k2-across", "k2-absent", "k2-present", "negative", "k3"],
     )
-    def test_small_walks(self, start, removed, added, swaps):
-        check_render(ReconfSequence(start=start, removed=removed, added=added), swaps)
+    def test_small_walks(self, start, removed, added, swap_lines):
+        rs = ReconfSequence(start=start, removed=removed, added=added)
+        check_render(rs, swap_lines)

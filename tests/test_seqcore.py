@@ -11,11 +11,11 @@ from lisrc import (
     Infeasible,
     LisrcError,
     NotMaximum,
-    is_feasible,
-    minimal_set,
     normalize,
     require_feasible,
 )
+from lisrc.reconfig import minimal_set
+from lisrc.seqcore import is_feasible
 
 import bruteforce as bf
 from conftest import K22_NO, DETOUR
