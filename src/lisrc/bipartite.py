@@ -233,7 +233,7 @@ def find_forbidden_pair(
 
 def _inverted(seq: Sequence, x: int, y: int) -> bool:
     """True iff positions x and y are an edge: index and value orders differ."""
-    return (x < y) != (seq.value(x) < seq.value(y))
+    return (x < y) != (seq.perm[x - 1] < seq.perm[y - 1])
 
 
 def decreasing_triple(seq: Sequence) -> tuple[int, int, int] | None:

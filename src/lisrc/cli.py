@@ -242,11 +242,6 @@ def _render_walk(rs: ReconfSequence) -> Iterator[str]:
         yield f"swap {gone} -> {label}: {text}"
 
 
-def _steps_json(rs: ReconfSequence) -> list[dict]:
-    """The walk's steps for `--json`; built only on that path."""
-    return [{"remove": r, "add": a} for r, a in zip(rs.removed, rs.added)]
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -270,12 +265,12 @@ def _answer(args, yes: bool, payload: dict, lines: Iterable[str], walk=None) -> 
     """Print the answer of a YES/NO query and return its exit status.
 
     The JSON payload is `answer`, then `payload`, then, with a walk (a
-    `ReconfSequence`), its `steps` and `length`; a `length` already in
-    `payload` keeps its place.  `lines` is the text answer.
+    `ReconfSequence`), its own fields: `length`, `removed` and `added`.
+    `lines` is the text answer.
     """
     payload = {"answer": "yes" if yes else "no", **payload}
     if args.json and walk is not None:
-        payload.update(steps=_steps_json(walk), length=len(walk))
+        payload.update(length=len(walk), removed=walk.removed, added=walk.added)
     _emit(args, payload, lines)
     return 1 if args.exit_status and not yes else 0
 
@@ -374,7 +369,7 @@ def _cmd_oracle(args) -> int:
         yes = rs is not None
         return _answer(args, yes, {}, ["YES" if yes else "NO"])
     lines = chain([str(len(rs))], map(_fmt_set, rs.sets()))
-    return _answer(args, True, {"length": len(rs)}, lines, rs)
+    return _answer(args, True, {}, lines, rs)
 
 
 def _cmd_gen(args) -> int:

@@ -79,7 +79,7 @@ class ReconfSequence:
         return len(self.removed)
 
     def sets(self) -> Iterator[FeasibleSet]:
-        """Yield every set along the sequence, the start included.
+        """Yield every set along the sequence as a sorted tuple, the start included.
 
         The replay of `_replay`, then one O(k) copy per step, so the whole
         replay costs what printing its sets costs.  A step that does not
@@ -95,7 +95,7 @@ class ReconfSequence:
         (2, 4, 7)
         (2, 6, 7)
         """
-        yield self.start
+        yield tuple(sorted(self.start))
         for cur, _, _ in self._replay():
             yield tuple(cur)
 

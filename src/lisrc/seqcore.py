@@ -44,16 +44,6 @@ class Sequence:
     def n(self) -> int:
         return len(self.raw)
 
-    def value(self, i: int) -> int:
-        """Normalized value at 1-based index `i`; index 0 is the sentinel 0.
-
-        `i` must be an int in 0..n, else IndexOutOfRange, as in
-        `require_feasible`: a bool, float or str is not read as an index.
-        """
-        if type(i) is not int or not 0 <= i <= len(self.perm):
-            raise IndexOutOfRange(i, len(self.perm))
-        return 0 if i == 0 else self.perm[i - 1]
-
 
 def normalize(raw: Iterable[int]) -> Sequence:
     """Build a Sequence, replacing each value by its rank in 1..n.

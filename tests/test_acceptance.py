@@ -233,12 +233,13 @@ def test_criterion_6_structural_invariants(capsys):
         ps = build_piles(seq)
         if ps.k != bf.lis_length(raw) or ps.piles[0] != (0,):
             violations += 1
-        tops = [seq.value(p[-1]) for p in ps.piles]
+        value = (0, *seq.perm)
+        tops = [value[p[-1]] for p in ps.piles]
         if tops != sorted(set(tops)):
             violations += 1
         for pile in ps.piles:
             for a, b in zip(pile, pile[1:]):
-                if not (a < b and seq.value(a) > seq.value(b)):
+                if not (a < b and value[a] > value[b]):
                     violations += 1
         maxima = enumerate_feasible(seq, ps.k)
         pile_of = bf.deal_reference(raw)[0]

@@ -350,7 +350,7 @@ class TestRun:
         assert out == ["YES", "length 2", "{1,3}", "swap 3 -> 4: {1,4}", "swap 1 -> 2: {2,4}"]
 
     def test_json_does_not_replay_the_walk(self, capsys, monkeypatch):
-        # --json prints the steps only; the intermediate sets are text output.
+        # --json prints the swaps only; the intermediate sets are text output.
         cases = [("witness", DETOUR_FILE), ("witness", BIP_FILE), ("shortest", BIP_FILE)]
         expected = []
         for command, path in cases:
@@ -551,8 +551,7 @@ class TestRun:
         )
         assert run(["shortest", "--json", SHORT_PILES_FILE]) == 0
         assert capsys.readouterr().out == (
-            '{"answer": "yes", "steps": [{"remove": 4, "add": 5}, '
-            '{"remove": 1, "add": 2}], "length": 2}\n'
+            '{"answer": "yes", "length": 2, "removed": [4, 1], "added": [5, 2]}\n'
         )
         assert run(["oracle", "--shortest", SHORT_PILES_FILE]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "2"
@@ -1005,7 +1004,7 @@ class TestParserReuse:
 
 
 class TestStepsJson:
-    """The `--json` step list is built on the JSON path only."""
+    """The walk's `--json` fields are put in the payload on the JSON path only."""
 
     CASES = {
         "witness": ["witness", DETOUR_FILE],
@@ -1016,20 +1015,28 @@ class TestStepsJson:
     @pytest.mark.parametrize("name", CASES)
     def test_text_path_skips_it(self, capsys, monkeypatch, name):
         expected = (run(self.CASES[name]), capsys.readouterr().out)
+        payloads = []
+        emit = lisrc.cli._emit
 
-        def refuse(rs):
-            raise AssertionError("step list built on the text path")
+        def recording(args, payload, text_lines):
+            payloads.append(payload)
+            return emit(args, payload, text_lines)
 
-        monkeypatch.setattr(lisrc.cli, "_steps_json", refuse)
+        def refuse(*args, **kwargs):
+            raise AssertionError("JSON written on the text path")
+
+        monkeypatch.setattr(lisrc.cli, "_emit", recording)
+        monkeypatch.setattr(lisrc.cli.json, "dumps", refuse)
         assert (run(self.CASES[name]), capsys.readouterr().out) == expected
+        assert payloads == [{"answer": "yes"}]
 
     @pytest.mark.parametrize("name", CASES)
     def test_json_path_lists_every_step(self, capsys, name):
         argv = self.CASES[name]
         assert run([argv[0], "--json", *argv[1:]]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["length"] == len(payload["steps"]) > 0
-        assert set(payload["steps"][0]) == {"remove", "add"}
+        assert list(payload)[-3:] == ["length", "removed", "added"]
+        assert payload["length"] == len(payload["removed"]) == len(payload["added"]) > 0
 
 
 class CountingSink:
@@ -1146,12 +1153,9 @@ class TestWalkText:
 
         assert run(["witness", "--json", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        steps = payload["steps"]
-        assert payload["length"] == len(steps) == len(rs)
+        assert payload["length"] == len(payload["removed"]) == len(rs)
         walk = SimpleNamespace(
-            start=i_set,
-            removed=[s["remove"] for s in steps],
-            added=[s["add"] for s in steps],
+            start=i_set, removed=payload["removed"], added=payload["added"]
         )
         *_, end = bf.replay_sets(walk)
         assert end == j_set

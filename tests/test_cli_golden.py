@@ -5,9 +5,10 @@ One YES file (`bip.txt`) and one NO file (`k22.txt`) through `decide`,
 with and without `--general`.  Each case pins stdout, an empty stderr and
 the exit status, which is 0 unless `--exit-status` asks for 0 on YES and
 1 on NO; stdout is the same either way.  Key order in the JSON is pinned
-too: `oracle --shortest --json` puts `length` before `steps`, `witness
---json` puts `steps` before `length`.  `cross_slot.txt` pins `oracle
---shortest --general` on a walk whose step changes slot.
+too: every walk answer prints `answer`, then its per-query fields, then
+the walk as `length`, `removed` and `added`.  `cross_slot.txt` pins
+`oracle --shortest --general`, text and `--json`, on a walk whose step
+changes slot.
 
 The descriptive subcommands (`piles`, `check` and `oracle --enumerate`)
 answer no YES/NO question; each case pins stdout, an empty stderr and
@@ -15,24 +16,36 @@ exit 0 on the same two files.
 
 At the scale of the `long_descent` benchmark, where brute force cannot
 follow, `SCALE` pins `witness` and `decide --json` on four staircases by
-line count and sha256.
+line count and sha256.  On those staircases and on every file under
+`tests/data`, each JSON walk must be the library's own walk.
 """
+import functools
 import hashlib
+import json
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from lisrc import normalize
-from lisrc.cli import format_instance, run
+from lisrc import (
+    LisrcError,
+    NoSequence,
+    normalize,
+    oracle_shortest,
+    reconfigure,
+    require_feasible,
+    shortest_sequence,
+)
+from lisrc.cli import format_instance, read_instance, run
 
 import bruteforce as bf
 
 DATA = Path(__file__).parent / "data"
 
 WALK_BIP = "{1,3}\nswap 3 -> 4: {1,4}\nswap 1 -> 2: {2,4}\n"
-STEPS_BIP = '"steps": [{"remove": 3, "add": 4}, {"remove": 1, "add": 2}]'
-ORACLE_STEPS_BIP = '"steps": [{"remove": 1, "add": 2}, {"remove": 3, "add": 4}]'
+JSON_WALK_BIP = '"length": 2, "removed": [3, 1], "added": [4, 2]'
+JSON_ORACLE_WALK_BIP = '"length": 2, "removed": [1, 3], "added": [2, 4]'
 REPS_BIP = '"minimal_I": [1, 3], "minimal_J": [1, 3]'
 REPS_K22 = '"minimal_I": [1, 2], "minimal_J": [3, 4]'
 PAIR_K22 = (
@@ -48,11 +61,11 @@ GOLDEN = [
     (
         "witness --json",
         "bip",
-        '{"answer": "yes", ' + REPS_BIP + ", " + STEPS_BIP + ', "length": 2}\n',
+        '{"answer": "yes", ' + REPS_BIP + ", " + JSON_WALK_BIP + "}\n",
         True,
     ),
     ("shortest", "bip", "YES\nlength 2\n" + WALK_BIP, True),
-    ("shortest --json", "bip", '{"answer": "yes", ' + STEPS_BIP + ', "length": 2}\n', True),
+    ("shortest --json", "bip", '{"answer": "yes", ' + JSON_WALK_BIP + "}\n", True),
     ("oracle", "bip", "YES\n", True),
     ("oracle --json", "bip", '{"answer": "yes"}\n', True),
     ("oracle --general", "bip", "YES\n", True),
@@ -61,14 +74,14 @@ GOLDEN = [
     (
         "oracle --shortest --json",
         "bip",
-        '{"answer": "yes", "length": 2, ' + ORACLE_STEPS_BIP + "}\n",
+        '{"answer": "yes", ' + JSON_ORACLE_WALK_BIP + "}\n",
         True,
     ),
     ("oracle --shortest --general", "bip", "2\n{1,3}\n{2,3}\n{2,4}\n", True),
     (
         "oracle --shortest --general --json",
         "bip",
-        '{"answer": "yes", "length": 2, ' + ORACLE_STEPS_BIP + "}\n",
+        '{"answer": "yes", ' + JSON_ORACLE_WALK_BIP + "}\n",
         True,
     ),
     ("decide", "k22", "NO\n", False),
@@ -93,6 +106,12 @@ GOLDEN = [
     # One step of this walk between non-maximum sets drops 1 from slot 0
     # and puts 3 into slot 1.
     ("oracle --shortest --general", "cross_slot", "1\n{1,2}\n{2,3}\n", True),
+    (
+        "oracle --shortest --general --json",
+        "cross_slot",
+        '{"answer": "yes", "length": 1, "removed": [1], "added": [3]}\n',
+        True,
+    ),
 ]
 
 
@@ -248,3 +267,57 @@ def test_scale_digests(tmp_path, capsys, name, lines, witness, decide):
     assert run(["decide", "--json", str(path)]) == 0
     out, err = capsys.readouterr()
     assert (sha256(out), err) == (decide, "")
+
+
+def _shortest(seq, i_set, j_set):
+    result = shortest_sequence(seq, i_set, j_set)
+    return None if isinstance(result, NoSequence) else result
+
+
+# Each walk subcommand and the library query it renders: a walk, or None on NO.
+WALK_QUERIES = {
+    "witness": lambda seq, i_set, j_set: reconfigure(seq, i_set, j_set).walk,
+    "shortest": _shortest,
+    "oracle --shortest": oracle_shortest,
+    "oracle --shortest --general": functools.partial(
+        oracle_shortest, maximum_only=False
+    ),
+}
+SOURCES = sorted(path.stem for path in DATA.glob("*.txt")) + [n for n, *_ in SCALE]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("command", WALK_QUERIES)
+def test_json_walk_is_the_library_walk(tmp_path, capsys, command, source):
+    # Every file under tests/data and every `SCALE` staircase: the JSON
+    # walk is the library's own `length`, `removed` and `added`, after the
+    # per-query fields, and its swaps lead from I to J.  Where the query
+    # refuses the instance (a staircase is beyond the oracle's bound and
+    # has tall piles), the subcommand prints its error instead.
+    path = DATA / f"{source}.txt"
+    if not path.exists():
+        path = tmp_path / "stairs.txt"
+        path.write_text(staircase_instance(source))
+    seq, i_set, j_set = read_instance(path.read_text())
+    status = run(command.split() + ["--json", str(path)])
+    out, err = capsys.readouterr()
+    try:
+        walk = WALK_QUERIES[command](seq, i_set, j_set)
+    except LisrcError as exc:
+        assert (status, out, err) == (2, "", f"error: {exc}\n")
+        return
+    assert (status, err) == (0, "")
+    payload = json.loads(out)
+    if walk is None:
+        assert payload["answer"] == "no" and "removed" not in payload
+        return
+    assert payload["answer"] == "yes"
+    assert list(payload)[-3:] == ["length", "removed", "added"]
+    fields = (payload["length"], tuple(payload["removed"]), tuple(payload["added"]))
+    assert fields == (len(walk), walk.removed, walk.added)
+    start = require_feasible(seq, i_set)
+    swaps = SimpleNamespace(
+        start=start, removed=payload["removed"], added=payload["added"]
+    )
+    *_, end = bf.replay_sets(swaps)
+    assert end == require_feasible(seq, j_set)

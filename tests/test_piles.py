@@ -66,18 +66,19 @@ class TestBuildPiles:
             ps = build_piles(seq)
             assert ps.k == bf.lis_length(raw)
             assert ps.piles[0] == (0,)
-            tops = [seq.value(p[-1]) for p in ps.piles]
+            value = (0, *seq.perm)
+            tops = [value[p[-1]] for p in ps.piles]
             assert tops == sorted(tops)
             for t, pile in enumerate(ps.piles):
                 for a, b in zip(pile, pile[1:]):
-                    assert a < b and seq.value(a) > seq.value(b)
+                    assert a < b and value[a] > value[b]
                 for d, i in enumerate(pile):
                     assert bf.pile_coord(raw, i) == (t, d)
             pile_of, _, blocker = bf.deal_reference(raw)
             for i in range(1, seq.n + 1):
                 b = blocker[i]
                 assert pile_of[b] == pile_of[i] - 1
-                assert b < i and seq.value(b) < seq.value(i)
+                assert b < i and value[b] < value[i]
 
     def test_one_member_per_pile(self):
         # Each pile holds exactly one index of every maximum feasible set.
@@ -91,12 +92,12 @@ class TestBuildPiles:
 
     def test_cross_pile_members_comparable(self):
         for raw in corpus(seed=37, rounds=60):
-            seq = normalize(raw)
+            value = (0, *normalize(raw).perm)
             pile_of = bf.deal_reference(raw)[0]
             for s in bf.max_feasible_sets(raw):
                 by_pile = sorted(s, key=pile_of.__getitem__)
                 for u, v in zip(by_pile, by_pile[1:]):
-                    assert u < v and seq.value(u) < seq.value(v)
+                    assert u < v and value[u] < value[v]
 
 
 class TestDerivedCoordinates:

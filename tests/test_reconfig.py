@@ -589,6 +589,11 @@ class TestReplay:
         rs = ReconfSequence(start=(1, 3, 5), removed=(1, 5), added=(4, 2))
         assert list(rs.sets()) == [(1, 3, 5), (3, 4, 5), (2, 3, 4)]
 
+    def test_unsorted_start_comes_back_sorted(self):
+        # The start set is yielded as a sorted tuple, like every later set.
+        rs = ReconfSequence(start=(3, 1), removed=(1,), added=(2,))
+        assert list(rs.sets()) == [(1, 3), (2, 3)]
+
     def test_slots_of_each_step(self):
         # A step within its slot is written in place; another moves members.
         rs = ReconfSequence(start=(1, 3, 5), removed=(3, 1), added=(4, 6))

@@ -153,22 +153,6 @@ class TestNormalize:
             assert (raw[i] < raw[j]) == (seq.perm[i] < seq.perm[j])
 
 
-class TestValue:
-    def test_non_int_index_is_out_of_range(self):
-        seq = normalize((7, 8, 5, 6))
-        for bad in (True, 1.0, "2", None):
-            with pytest.raises(IndexOutOfRange) as info:
-                seq.value(bad)
-            assert info.value.index is bad
-
-    def test_sentinel_and_range(self):
-        seq = normalize((7, 8, 5, 6))
-        assert [seq.value(i) for i in range(5)] == [0, 3, 4, 1, 2]
-        for bad in (-1, 5):
-            with pytest.raises(IndexOutOfRange):
-                seq.value(bad)
-
-
 class TestIsFeasible:
     def test_k22_color_class(self):
         assert is_feasible(normalize((7, 8, 5, 6)), {1, 2})
