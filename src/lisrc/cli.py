@@ -25,6 +25,7 @@ import os
 import random
 import re
 import sys
+from bisect import bisect_left
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
@@ -211,35 +212,54 @@ def _fmt_set(s: Iterable[int]) -> str:
 def _render_walk(rs: ReconfSequence) -> Iterator[str]:
     """The text walk of a walk between maximum sets, line by line.
 
-    The start set, then `swap a -> b: {set after}` per step.  Lazy, so the
-    JSON path never renders the walk and the text path holds one line at
-    a time.  Every step between maximum sets keeps its slot (the new
-    member stays on the same pile), so each line is the one before with
-    one `str.replace` of the old label by the new one, each with its
-    delimiters around it (`{` or `,` before, `,` or `}` after): the
-    members are distinct, so that needle occurs once, and a line costs
-    O(k), the size of its text, in C string routines.  A step that does
-    not apply, or that changes slot, raises ValueError after the lines
-    before it.
+    The start set, then `swap a -> b: {set after}` per step, each line
+    with its `\\n`.  Lazy, so the JSON path never renders the walk and
+    the text path holds one line at a time.  The current set is a sorted
+    list, and beside it the list of its members' labels.  Every step
+    between maximum sets keeps its slot (the new member stays on the same
+    pile), so one binary search finds the slot of `remove`, an O(1) test
+    sees that `add` fits between that slot's neighbours, and the step
+    writes the member and its label in place.  The line is the one
+    before with one `str.replace` of the old label by the new one, each
+    with its delimiters around it (`{` or `,` before, `,` or `}` after):
+    the members are distinct, so that needle occurs once, and a line
+    costs O(k), the size of its text, in C string routines.  A step that
+    fails the test is replayed alone by `ReconfSequence._replay`, after
+    the lines before it: it raises the replay's ValueError when the step
+    does not apply, and ValueError naming both slots when it changes
+    slot.
 
     >>> walk = ReconfSequence(start=(1, 3), removed=(1, 3), added=(2, 4))
     >>> for line in _render_walk(walk):
-    ...     print(line)
+    ...     print(line, end="")
     {1,3}
     swap 1 -> 2: {2,3}
     swap 3 -> 4: {2,4}
     """
-    text = _fmt_set(sorted(rs.start))
-    yield text
-    last = len(rs.start) - 1
-    for (_, i, j), remove, add in zip(rs._replay(), rs.removed, rs.added):
-        if i != j:
+    cur = sorted(rs.start)
+    labels = [str(i) for i in cur]
+    text = "{" + ",".join(labels) + "}"
+    yield text + "\n"
+    last = len(cur) - 1
+    for remove, add in zip(rs.removed, rs.added):
+        i = bisect_left(cur, remove)
+        if not (
+            i <= last
+            and cur[i] == remove
+            and add != remove
+            and (i == 0 or cur[i - 1] < add)
+            and (i == last or add < cur[i + 1])
+        ):
+            step = ReconfSequence(start=tuple(cur), removed=(remove,), added=(add,))
+            _, i, j = next(step._replay())
             raise ValueError(f"swap {remove} -> {add} moves from slot {i} to {j}")
-        gone, label = str(remove), str(add)
+        cur[i] = add
+        gone = labels[i]
+        label = labels[i] = str(add)
         before = "{" if i == 0 else ","
         after = "}" if i == last else ","
         text = text.replace(f"{before}{gone}{after}", f"{before}{label}{after}", 1)
-        yield f"swap {gone} -> {label}: {text}"
+        yield f"swap {gone} -> {label}: {text}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +269,9 @@ def _render_walk(rs: ReconfSequence) -> Iterator[str]:
 def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
     """Print the payload as JSON, or the text lines.
 
-    Each text line is written as it is produced, so a lazy walk
-    (`_render_walk`) never sits in memory whole; on the JSON path the
+    Each text line ends in its `\\n` and is written unchanged as it is
+    produced, so a lazy walk (`_render_walk`) never sits in memory whole
+    and no line is copied to append its newline; on the JSON path the
     lines are never produced.
     """
     if args.json:
@@ -258,7 +279,7 @@ def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
         return
     write = sys.stdout.write
     for line in text_lines:
-        write(line + "\n")
+        write(line)
 
 
 def _answer(args, yes: bool, payload: dict, lines: Iterable[str], walk=None) -> int:
@@ -266,7 +287,7 @@ def _answer(args, yes: bool, payload: dict, lines: Iterable[str], walk=None) -> 
 
     The JSON payload is `answer`, then `payload`, then, with a walk (a
     `ReconfSequence`), its own fields: `length`, `removed` and `added`.
-    `lines` is the text answer.
+    `lines` is the text answer, each line ending in its `\\n`.
     """
     payload = {"answer": "yes" if yes else "no", **payload}
     if args.json and walk is not None:
@@ -306,10 +327,10 @@ def _cmd_reconfigure(args) -> int:
         # Reading the representatives runs their descent: JSON only.
         payload["minimal_I"] = list(answer.minimal_i)
         payload["minimal_J"] = list(answer.minimal_j)
-    lines: Iterable[str] = ["YES" if yes else "NO"]
+    lines: Iterable[str] = ["YES\n" if yes else "NO\n"]
     walk = answer.walk if args.command == "witness" else None
     if walk is not None:
-        lines = chain(lines, [f"length {len(walk)}"], _render_walk(walk))
+        lines = chain(lines, [f"length {len(walk)}\n"], _render_walk(walk))
     return _answer(args, yes, payload, lines, walk)
 
 
@@ -323,10 +344,10 @@ def _cmd_shortest(args) -> int:
         ]
         line = (
             f"forbidden pair: pile {a.pile} (I {a.i_elem}, J {a.j_elem})"
-            f" / pile {b.pile} (I {b.i_elem}, J {b.j_elem})"
+            f" / pile {b.pile} (I {b.i_elem}, J {b.j_elem})\n"
         )
-        return _answer(args, False, {"forbidden_pair": pair}, ["NO", line])
-    lines = chain(["YES", f"length {len(result)}"], _render_walk(result))
+        return _answer(args, False, {"forbidden_pair": pair}, ["NO\n", line])
+    lines = chain(["YES\n", f"length {len(result)}\n"], _render_walk(result))
     return _answer(args, True, {}, lines, result)
 
 
@@ -340,7 +361,7 @@ def _cmd_piles(args) -> int:
     value = (0, *seq.raw)
     piles = [[[i, value[i]] for i in pile] for pile in ps.piles]
     text = (
-        f"P{t}: " + " ".join(f"{i}({v})" for i, v in pile)
+        f"P{t}: " + " ".join(f"{i}({v})" for i, v in pile) + "\n"
         for t, pile in enumerate(piles)
     )
     _emit(args, {"k": ps.k, "piles": piles}, text)
@@ -361,14 +382,14 @@ def _cmd_oracle(args) -> int:
         _emit(
             args,
             {"count": len(sets), "sets": [list(s) for s in sets]},
-            [_fmt_set(s) for s in sets],
+            [_fmt_set(s) + "\n" for s in sets],
         )
         return 0
     rs = orc.oracle_shortest(seq, i_set, j_set, maximum_only, bound)
     if rs is None or not args.shortest:
         yes = rs is not None
-        return _answer(args, yes, {}, ["YES" if yes else "NO"])
-    lines = chain([str(len(rs))], map(_fmt_set, rs.sets()))
+        return _answer(args, yes, {}, ["YES\n" if yes else "NO\n"])
+    lines = chain([f"{len(rs)}\n"], (_fmt_set(s) + "\n" for s in rs.sets()))
     return _answer(args, True, {}, lines, rs)
 
 
@@ -399,11 +420,11 @@ def _cmd_check(args) -> int:
             "J_maximum": j_max,
         },
         [
-            f"n {seq.n}",
-            f"lis_length {k}",
-            f"I {_fmt_set(i_set)} feasible" + (" maximum" if i_max else ""),
-            f"J {_fmt_set(j_set)} feasible" + (" maximum" if j_max else ""),
-            "OK",
+            f"n {seq.n}\n",
+            f"lis_length {k}\n",
+            f"I {_fmt_set(i_set)} feasible" + (" maximum\n" if i_max else "\n"),
+            f"J {_fmt_set(j_set)} feasible" + (" maximum\n" if j_max else "\n"),
+            "OK\n",
         ],
     )
     return 0

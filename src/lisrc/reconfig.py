@@ -110,8 +110,9 @@ class ReconfSequence:
         slot of `add`, then a delete and an insert move the members
         between, O(k): `add` may land in another slot than `remove` left,
         as in walks between non-maximum sets.  A step that does not apply
-        raises ValueError.  `sets` and the CLI's text walk both read this
-        one replay.
+        raises ValueError.  `sets` reads this replay; the CLI's text walk
+        makes the same same-slot test itself and replays here, one step
+        at a time, only a step that fails it, for the error.
         """
         cur = sorted(self.start)
         last = len(cur) - 1

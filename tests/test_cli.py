@@ -40,6 +40,7 @@ from lisrc.cli import (
 )
 
 import bruteforce as bf
+from conftest import pairs_instance
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -884,11 +885,9 @@ class TestRun:
 
 
 def write_pairs(path, n):
-    """The bipartite `2 1 4 3 ...` instance, I the odd and J the even positions."""
-    values = [v for p in range(1, n, 2) for v in (p + 1, p)]
-    path.write_text(
-        format_instance(normalize(values), range(1, n, 2), range(2, n + 1, 2))
-    )
+    """Write `conftest.pairs_instance(n)` to `path`."""
+    values, i_set, j_set = pairs_instance(n)
+    path.write_text(format_instance(normalize(values), i_set, j_set))
     return path
 
 
@@ -1075,6 +1074,8 @@ class TestWalkText:
             "bip": BIP_FILE,
             "stairs": str(stairs),
             "pairs": str(write_pairs(tmp_path / "pairs.txt", 40)),
+            # k = 1000 and a swap in every slot, the first and last included.
+            "wide_pairs": str(write_pairs(tmp_path / "wide_pairs.txt", 2000)),
             "general": str(general),
         }
 
@@ -1085,8 +1086,10 @@ class TestWalkText:
             ("witness", "bip"),
             ("witness", "stairs"),
             ("witness", "pairs"),
+            ("witness", "wide_pairs"),
             ("shortest", "bip"),
             ("shortest", "pairs"),
+            ("shortest", "wide_pairs"),
         ],
     )
     def test_walk_matches_reference(self, capsys, files, command, name):
@@ -1098,7 +1101,9 @@ class TestWalkText:
         )
         expected = ["YES", *bf.render_walk(walk)]
         assert run([command, files[name]]) == 0
-        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+        # Line lists, so that a failure at k = 1000 names its first line
+        # rather than diffing two 4 MB strings.
+        assert capsys.readouterr().out.split("\n") == [*expected, ""]
 
     @pytest.mark.parametrize(
         "flags, name",

@@ -19,7 +19,7 @@ from lisrc.cli import _fmt_set, _render_walk
 from lisrc.reconfig import _meet_walk, _placed, minimal_set
 
 import bruteforce as bf
-from conftest import K22_NO, DETOUR
+from conftest import K22_NO, DETOUR, pairs_instance
 
 
 def naive_descent(raw, s):
@@ -628,9 +628,10 @@ class TestReplay:
 def check_render(rs, swap_lines=True):
     """The CLI's text walk of `rs` against the reference rendering.
 
-    With swap_lines, `_render_walk`: `bf.render_walk`'s lines for the
-    steps that apply and keep their slot, then ValueError at the first
-    step that does not apply (the replay's error) or that changes slot.
+    With swap_lines, `_render_walk`: `bf.render_walk`'s lines, each with
+    its newline, for the steps that apply and keep their slot, then
+    ValueError at the first step that does not apply (the replay's
+    error) or that changes slot.
     Without, the oracle's lines, `_fmt_set` of each set of `rs.sets()`:
     every set up to the first step that does not apply, across slots
     too, then the replay's error.
@@ -650,7 +651,8 @@ def check_render(rs, swap_lines=True):
     prefix = ReconfSequence(
         start=rs.start, removed=rs.removed[:kept], added=rs.added[:kept]
     )
-    assert replay_outcome(_render_walk(rs)) == (bf.render_walk(prefix)[1:], error)
+    expected = [line + "\n" for line in bf.render_walk(prefix)[1:]]
+    assert replay_outcome(_render_walk(rs)) == (expected, error)
 
 
 # Members whose labels hold one another: 1, 11 and 111 start and end the
@@ -712,3 +714,25 @@ class TestRenderWalk:
     def test_small_walks(self, start, removed, added, swap_lines):
         rs = ReconfSequence(start=start, removed=removed, added=added)
         check_render(rs, swap_lines)
+
+    @pytest.mark.parametrize(
+        "remove, add, error",
+        [
+            (999, 1003, "swap 999 -> 1003 moves from slot 499 to 500"),
+            (1000, 1004, "swap 1000 -> 1004 does not apply to (1, 3, 5, "),
+        ],
+        ids=["changes-slot", "does-not-apply"],
+    )
+    def test_corrupted_step_at_scale(self, remove, add, error):
+        # The walk of `2 1 4 3 ...` at n = 2000 has a swap in every slot,
+        # from k - 1 = 999 down to 0; step 500 swaps 999 -> 1000 in slot
+        # 499.  Replaced, it fails the same-slot test at k = 1000.
+        raw, i_set, j_set = pairs_instance(2000)
+        rs = reconfigure(normalize(raw), i_set, j_set).walk
+        removed, added = list(rs.removed), list(rs.added)
+        assert (removed[500], added[500]) == (999, 1000)
+        removed[500], added[500] = remove, add
+        rs = ReconfSequence(start=rs.start, removed=tuple(removed), added=tuple(added))
+        check_render(rs)
+        lines, message = replay_outcome(_render_walk(rs))
+        assert len(lines) == 501 and message.startswith(error)
