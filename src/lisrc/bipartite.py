@@ -34,7 +34,10 @@ shortest, and a "forbidden pair" certifies NO.  Proof sketch:
   the index side, by e_{t-1}, runs leftward alike to the sentinel.
 
 No step uses more than the pile heights.  `shortest_sequence` costs
-O(n log n), all of it in pile dealing, and `two_coloring` O(n).
+O(n log n), all of it in pile dealing and in sorting the two sets: on
+piles of at most two entries every binary search is O(1), so placing
+both sets, the clamped descents and `_mixed` cost O(k) after that.
+`two_coloring` costs O(n).
 `build_graph` costs O(n + m) for m edges.
 
 `shortest_sequence` is the query; `find_forbidden_pair` serves it, and
@@ -48,6 +51,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 from typing import Iterable
 
 from .errors import TallPile
@@ -182,14 +187,18 @@ def mixed_piles(
 def _mixed(
     ps: PileSystem, members_i: FeasibleSet, members_j: FeasibleSet
 ) -> list[MixedPile]:
-    """`mixed_piles` of two validated maximum sets, O(k).
+    """`mixed_piles` of two validated maximum sets.
 
     The t-th member of a maximum set lies on pile t (`reconfig._placed`).
+    One C-level pass compares the two sets member by member, and only
+    the piles where they differ are read, so the Python work is
+    O(|I \\ J|) beside O(k) in C.
     """
+    piles = ps.piles
     return [
-        MixedPile(pile=t, i_elem=x, j_elem=y)
-        for t, (x, y, pile) in enumerate(zip(members_i, members_j, ps.piles[1:]), 1)
-        if x != y and len(pile) == 2
+        MixedPile(pile=t, i_elem=members_i[t - 1], j_elem=members_j[t - 1])
+        for t in compress(count(1), map(ne, members_i, members_j))
+        if len(piles[t]) == 2
     ]
 
 

@@ -11,9 +11,10 @@ A value or index is an optional `-` followed by ASCII digits; any
 whitespace separates them.  Lines end at `\\n`, `\\r\\n` or `\\r` only.
 The file is read as UTF-8, and a leading byte-order mark is ignored.
 
-Exit status is 0 on success and 2 on any error, a stdout closed before
-start or left by its reader included (that one without a message).  With
---exit-status the yes/no subcommands instead report YES as 0 and NO as 1.
+Exit status is 0 on success and 2 on any error, running out of memory
+and a stdout closed before start or left by its reader included (that
+one without a message).  With --exit-status the yes/no subcommands
+instead report YES as 0 and NO as 1.
 """
 from __future__ import annotations
 
@@ -556,10 +557,12 @@ def run(argv: list[str]) -> int:
     except BrokenPipeError:
         # The reader of stdout has left (`lisrc ... | head`): say nothing.
         stream = sys.stdout
-    except (LisrcError, OSError) as exc:
+    except (LisrcError, OSError, MemoryError) as exc:
         try:
             if sys.stderr is not None:
-                print(f"error: {exc}", file=sys.stderr)
+                # A MemoryError carries no message, as a rule.
+                text = "out of memory" if isinstance(exc, MemoryError) else exc
+                print(f"error: {text}", file=sys.stderr)
             return 2
         except OSError:  # stderr was closed before start (`2>&-`)
             stream = sys.stderr

@@ -11,10 +11,10 @@ position order and the pile count equals the longest-chain length.
 
 Dealing records only the piles themselves, and a `PileSystem` keeps
 nothing else: no values, which `lisrc piles` reads from the sequence.
-Each query locates its k members by one binary search in their own
-piles (`reconfig._placed`).  `random_max_sets` counts the maximum sets
-through each entry and draws them uniformly; it serves `lisrc gen` and
-no query.
+Each query locates the members of its two sets by one binary search
+per pile, and a second where the sets differ (`reconfig._placed`).
+`random_max_sets` counts the maximum sets through each entry and draws
+them uniformly; it serves `lisrc gen` and no query.
 """
 from __future__ import annotations
 

@@ -39,6 +39,12 @@ only when they are read; callers read the walk off it.  The two sets of
 one query are validated by `require_pair`, built on
 `seqcore.require_feasible`.  `minimal_set`, the descent of one set,
 serves only the tests and the benchmark's span tracer.
+
+Cost of a query once the piles are dealt: O(k) C-level passes to
+validate each set (`require_feasible`), one pass over the piles that
+places both sets and takes I∧J (`_placed`), with one binary search per
+pile and a second where I and J differ, and the clamped descents,
+O(k + moves·log n) (`_descend`).
 """
 from __future__ import annotations
 
@@ -168,28 +174,45 @@ def require_pair(
     return members_i, members_j
 
 
-def _placed(ps: PileSystem, members: FeasibleSet) -> tuple[list[int], list[int]]:
-    """The member on each pile and its depth there (slot 0: sentinel).
+def _placed(
+    ps: PileSystem, members_i: FeasibleSet, members_j: FeasibleSet
+) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """Both sets on the piles in one pass, and their meet I∧J.
 
-    `members` is a sorted maximum feasible set, and its t-th member lies
-    on pile t.  Proof sketch: an element's pile id is the length of the
-    longest increasing run of positions ending at it (the sentinel not
-    counted), so along an increasing sequence pile ids strictly increase;
-    a set of size k meets k distinct piles among 1..k, in member order.
-    One binary search per member in its pile (piles are sorted by index)
-    gives its depth, and the assertion confirms the member is there,
-    O(k log n) in all, without the per-element pile ids.  Callers pass
-    validated sets, so no result depends on the assertion.
+    Returns the member on each pile and its depth there for I, the same
+    for J (slot 0: sentinel), and the per-pile minimum of the two depths.
+    `members_i` and `members_j` are sorted maximum feasible sets, and the
+    t-th member of each lies on pile t.  Proof sketch: an element's pile
+    id is the length of the longest increasing run of positions ending at
+    it (the sentinel not counted), so along an increasing sequence pile
+    ids strictly increase; a set of size k meets k distinct piles among
+    1..k, in member order.  One binary search per pile (piles are sorted
+    by index) gives the depth of I's member, a second one, on a pile
+    where J's member differs, the depth of J's: k + 1 + |I \\ J| searches
+    in all, beside O(k) list building.  Each member of either set is
+    asserted to lie on its pile, a shared one by its one search, without
+    the per-element pile ids.  Callers pass validated sets, so no result
+    depends on the assertion.  `_to_bottom` passes one set twice.
     """
-    chosen = [0, *members]
+    chosen_i = [0, *members_i]
+    chosen_j = [0, *members_j]
     message = "maximum feasible set must hit each pile once"
-    assert len(chosen) == len(ps.piles), message
-    depth = []
-    for pile, i in zip(ps.piles, chosen):
-        d = bisect_left(pile, i)
-        assert d < len(pile) and pile[d] == i, message
-        depth.append(d)
-    return chosen, depth
+    assert len(chosen_i) == len(ps.piles) == len(chosen_j), message
+    depth_i: list[int] = []
+    depth_j: list[int] = []
+    meet: list[int] = []
+    for pile, i, j in zip(ps.piles, chosen_i, chosen_j):
+        a = bisect_left(pile, i)
+        assert a < len(pile) and pile[a] == i, message
+        if i == j:
+            b = a
+        else:
+            b = bisect_left(pile, j)
+            assert b < len(pile) and pile[b] == j, message
+        depth_i.append(a)
+        depth_j.append(b)
+        meet.append(a if a < b else b)
+    return chosen_i, depth_i, chosen_j, depth_j, meet
 
 
 def _lowest_depth(
@@ -291,7 +314,7 @@ def _to_bottom(
     Returns the fixed point and the removed and the added index of each
     move.
     """
-    chosen, depth = _placed(ps, members)
+    chosen, depth = _placed(ps, members, members)[:2]
     removed, added = _descend(seq.perm, ps.piles, chosen, depth, [0] * len(depth))
     # Every move keeps the set increasing, so pile order is index order.
     return tuple(chosen[1:]), removed, added
@@ -363,11 +386,11 @@ def _meet_walk(
     Returns the walk from I through I∧J to J, None when the clamped end
     points differ (NO), and each side's clamped end point.  `reconfigure`
     continues from those to the representatives;
-    `bipartite.shortest_sequence` stops here.
+    `bipartite.shortest_sequence` stops here.  One `_placed` pass gives
+    both depth vectors and the meet, k + 1 + |I \\ J| binary searches in
+    all, and each clamped descent costs O(k + moves·log n).
     """
-    chosen_i, depth_i = _placed(ps, members_i)
-    chosen_j, depth_j = _placed(ps, members_j)
-    meet = list(map(min, depth_i, depth_j))
+    chosen_i, depth_i, chosen_j, depth_j, meet = _placed(ps, members_i, members_j)
     removed_i, added_i = _descend(seq.perm, ps.piles, chosen_i, depth_i, meet)
     removed_j, added_j = _descend(seq.perm, ps.piles, chosen_j, depth_j, meet)
     walk = None
@@ -387,8 +410,8 @@ def reconfigure(seq: Sequence, i_set: Iterable[int], j_set: Iterable[int]) -> An
     The one computation behind the CLI's `decide` and `witness`
     subcommands, in four steps, the first three in `_meet_walk`:
 
-    1. Place I and J on the piles once and take the meet I∧J, the
-       per-pile minimum of their depths.
+    1. Place I and J on the piles in one pass and take the meet I∧J,
+       the per-pile minimum of their depths (`_placed`).
     2. Descend I and J with I∧J as the floor (`_descend`).
     3. The answer is YES exactly when both end at the same set, which is
        then I∧J (module docstring).  The walk is I's clamped descent

@@ -95,7 +95,19 @@ def require_feasible(seq: Sequence, s: Iterable[int]) -> FeasibleSet:
     member must be an int in 1..n (a bool, float or str raises
     IndexOutOfRange like an index out of range), and the values at the
     members must increase with position, else Infeasible reports the
-    first offending pair.  Repeated members count once.
+    first offending pair.  Repeated members count once.  The first
+    failing check decides the error: the first member that is not an int,
+    in input order, then the first out of range and the first pair out of
+    order, in sorted order.
+
+    Cost: C-level passes over the k items, O(k) each when they come
+    sorted: the set of their types, one sort, the range read off the
+    sorted members' two ends, and the order as the values at the members
+    against their own sort, one comparison per pair when they increase.
+    Only the values are gathered by a Python loop.  A failed pass runs
+    the checks item by item to find the first offender
+    (`_first_offender`), so each error keeps its type, message and
+    precedence.
 
     >>> require_feasible(normalize((7, 8, 5, 6)), [4, 3])
     (3, 4)
@@ -103,17 +115,33 @@ def require_feasible(seq: Sequence, s: Iterable[int]) -> FeasibleSet:
     items = list(s)
     perm = seq.perm
     n = len(perm)
+    if not set(map(type, items)) <= {int}:
+        _first_offender(seq, items, ())
+    members = tuple(sorted(set(items)))
+    if members and (members[0] < 1 or members[-1] > n):
+        _first_offender(seq, items, members)
+    values = [perm[i - 1] for i in members]
+    if values != sorted(values):
+        _first_offender(seq, items, members)
+    return members
+
+
+def _first_offender(seq: Sequence, items: list, members: FeasibleSet) -> None:
+    """`require_feasible`'s checks item by item, once one of its passes has
+    failed: raise for the first of `items` that is not an int, else for
+    the first of the sorted `members` out of 1..n, else for the first
+    adjacent pair of them whose values decrease."""
+    perm = seq.perm
+    n = len(perm)
     for i in items:
         if type(i) is not int:
             raise IndexOutOfRange(i, n)
-    members = tuple(sorted(set(items)))
     for i in members:
         if not 1 <= i <= n:
             raise IndexOutOfRange(i, n)
     for i, j in zip(members, members[1:]):
         if perm[i - 1] > perm[j - 1]:
             raise Infeasible(i, j, seq.raw[i - 1], seq.raw[j - 1])
-    return members
 
 
 def is_feasible(seq: Sequence, s: Iterable[int]) -> bool:

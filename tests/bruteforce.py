@@ -154,10 +154,12 @@ def deal_reference(raw):
 def require_feasible(raw, s):
     """Index-set validation read off the raw values, one check after another.
 
-    Raises what `lisrc.require_feasible` raises, with the same message:
-    IndexOutOfRange for the first member that is not an int (in input
-    order), then for the first out of 1..n (in sorted order), then
-    Infeasible for the first adjacent pair whose values do not increase.
+    Three loops, member by member: the reference for what
+    `lisrc.require_feasible` raises, with the same message, although it
+    runs C-level passes.  IndexOutOfRange for the first member that is
+    not an int (in input order), then for the first out of 1..n (in
+    sorted order), then Infeasible for the first adjacent pair whose
+    values do not increase.
     """
     n = len(raw)
     items = list(s)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -732,6 +733,22 @@ class TestRun:
         bad.write_text("1 2 3\n9\n1\n")
         done = self.run_closed("2>&-", "decide", "--exit-status", str(bad))
         assert (done.returncode, done.stdout) == (2, b"")
+
+    def test_out_of_memory(self):
+        # `gen` asks for a list of 10^12 values; under a 1 GiB address
+        # space cap that fails at once, before anything is allocated.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "lisrc.cli", "gen", "-n", "1000000000000"],
+            capture_output=True,
+            env=LISRC_ENV,
+            preexec_fn=cap,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr == b"error: out of memory\n"
 
     def test_missing_file(self, capsys):
         assert run(["decide", "no-such-file.txt"]) == 2

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +16,13 @@ from lisrc import (
     reconfigure,
 )
 import lisrc.reconfig
-from lisrc.cli import _fmt_set, _render_walk
-from lisrc.reconfig import _meet_walk, _placed, minimal_set
+from lisrc.cli import _fmt_set, _render_walk, generate, read_instance
+from lisrc.reconfig import _meet_walk, _placed, minimal_set, require_pair
 
 import bruteforce as bf
 from conftest import K22_NO, DETOUR, pairs_instance
+
+DATA = Path(__file__).parent / "data"
 
 
 def naive_descent(raw, s):
@@ -183,18 +186,102 @@ class TestMinimalSet:
 class TestPerPile:
     def test_member_t_is_pile_t(self):
         ps = build_piles(normalize(DETOUR[0]))
-        assert _placed(ps, (2, 4, 5))[0] == [0, 2, 4, 5]
+        assert _placed(ps, (2, 4, 5), (2, 4, 5))[0] == [0, 2, 4, 5]
+
+    def test_pair_depths_and_meet(self):
+        # Piles (0,), (1, 2), (3, 4, 6), (5, 7), bottom first: I at the
+        # bottom of each pile and J on top, so the meet is I.
+        ps = build_piles(normalize(DETOUR[0]))
+        assert _placed(ps, DETOUR[1], DETOUR[2]) == (
+            [0, 1, 3, 5],
+            [0, 0, 0, 0],
+            [0, 2, 6, 7],
+            [0, 1, 2, 1],
+            [0, 0, 0, 0],
+        )
 
     @pytest.mark.parametrize(
-        "members",
-        [(1, 3), (2, 4), (1,), (1, 2, 4)],
-        ids=["two_on_pile_1", "two_on_pile_2", "too_few", "too_many"],
+        "members_i, members_j",
+        [
+            ((1, 3), (1, 3)),
+            ((2, 4), (2, 4)),
+            ((1,), (1,)),
+            ((1, 2, 4), (1, 2, 4)),
+            ((1, 2), (1, 3)),
+            ((1, 3), (1, 2)),
+            ((3, 4), (2, 4)),
+            ((2, 4), (3, 4)),
+        ],
+        ids=[
+            "two_on_pile_1",
+            "two_on_pile_2",
+            "too_few",
+            "too_many",
+            "valid_I_J_off_pile_2",
+            "I_off_pile_2_valid_J",
+            "valid_I_J_off_pile_1",
+            "I_off_pile_1_valid_J",
+        ],
     )
-    def test_asserts_one_member_per_pile(self, members):
-        # Sets that skipped validation: the assertion still catches them.
+    def test_asserts_one_member_per_pile(self, members_i, members_j):
+        # Sets that skipped validation: the assertion still catches them,
+        # on a pile where only one of the two sets is wrong too.
         ps = build_piles(normalize(K22_NO[0]))
         with pytest.raises(AssertionError, match="each pile once"):
-            _placed(ps, members)[0]
+            _placed(ps, members_i, members_j)
+
+
+@pytest.fixture
+def placements(monkeypatch):
+    """The arguments of every `bisect_left` call made in `lisrc.reconfig`."""
+    calls = []
+    search = lisrc.reconfig.bisect_left
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(lisrc.reconfig, "bisect_left", counting)
+    return calls
+
+
+class TestPlacementCount:
+    """`_meet_walk` searches each pile once, and again where I and J differ."""
+
+    @staticmethod
+    def extra_searches(seq, i_set, j_set, placements):
+        ps = build_piles(seq)
+        members_i, members_j = require_pair(seq, ps, i_set, j_set)
+        placements.clear()
+        _meet_walk(seq, ps, members_i, members_i)
+        alone = len(placements)
+        assert alone == ps.k + 1
+        placements.clear()
+        _meet_walk(seq, ps, members_i, members_j)
+        return len(placements) - alone, len(set(members_i) - set(members_j))
+
+    def test_data_files(self, placements):
+        checked = 0
+        for path in sorted(DATA.glob("*.txt")):
+            seq, i_set, j_set = read_instance(path.read_text(encoding="utf-8"))
+            if len(i_set) != build_piles(seq).k:
+                continue  # a pair of non-maximum sets, for the oracle
+            extra, private = self.extra_searches(seq, i_set, j_set, placements)
+            assert extra == private > 0, path
+            checked += 1
+        assert checked >= 4
+
+    def test_staircase(self, placements):
+        raw, grid = bf.staircase(20, 500)
+        rng = random.Random(3)
+        i_set, j_set = (bf.staircase_set(grid, 1, rng) for _ in range(2))
+        extra, private = self.extra_searches(normalize(raw), i_set, j_set, placements)
+        assert extra == private > 0
+
+    def test_bipartite_instance(self, placements):
+        seq, i_set, j_set = read_instance(generate(600, 6, bipartite=True))
+        extra, private = self.extra_searches(seq, i_set, j_set, placements)
+        assert extra == private > 0
 
 
 class TestDecide:

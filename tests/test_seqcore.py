@@ -49,6 +49,27 @@ def with_repeat(draw, values):
     return raw
 
 
+@st.composite
+def values_and_indices(draw):
+    """Distinct values and an index list for them, with repeats: ints in
+    1..n only, ints also out of range on either side, or ints mixed with
+    the bools, floats and strings that fail the type check."""
+    raw = draw(st.lists(st.integers(-50, 50), unique=True, max_size=9))
+    n = len(raw)
+    wide = st.integers(-2, n + 2)
+    items = draw(
+        st.one_of(
+            st.lists(st.integers(1, max(n, 1)), min_size=min(n, 3), max_size=n + 2),
+            st.lists(wide, max_size=n + 2),
+            st.lists(
+                st.one_of(wide, st.booleans(), st.floats(-2, n + 2), st.text(max_size=2)),
+                max_size=n + 2,
+            ),
+        )
+    )
+    return raw, items
+
+
 NORMALIZE_INPUTS = st.one_of(
     st.lists(st.integers(-10**6, 10**6), unique=True, max_size=30),
     perms(8),
@@ -188,6 +209,26 @@ class TestRequireFeasible:
 
     def test_canonicalizes(self):
         assert require_feasible(normalize((7, 8, 5, 6)), [4, 3]) == (3, 4)
+
+    @given(values_and_indices())
+    @example(([7, 8, 5, 6], [1, True]))
+    @example(([7, 8, 5, 6], [True, 1]))
+    @example(([7, 8, 5, 6], [9, 6, 5, 1]))
+    @example(([7, 8, 5, 6], [9, 0, 3, 1]))
+    @example(([7, 8, 5, 6], [4, 3, 2, 1, 4]))
+    def test_matches_item_by_item_reference(self, case):
+        # The reference runs every check member by member; the package
+        # runs C-level passes and walks the members only after one failed.
+        raw, items = case
+
+        def outcome(validate, seq):
+            try:
+                return "ok", validate(seq, items)
+            except LisrcError as exc:
+                return type(exc), exc.args, getattr(exc, "pair", None)
+
+        want = outcome(bf.require_feasible, raw)
+        assert outcome(require_feasible, normalize(raw)) == want
 
 
 class TestLisLength:
